@@ -213,40 +213,41 @@ def channel_capacity(channel, tol: float = 1e-9,
     return blahut_arimoto(channel, tol=tol, max_iter=max_iter)
 
 
-def te_capacity_bound(est, tol: float = 1e-9, max_iter: int = 10_000):
-    """Weighted per-subchannel capacity: an upper bound on achievable TE.
+def _subchannel_capacities(counts, tol: float, max_iter: int):
+    """Weighted per-subchannel capacity of a (g, i, j) count tensor.
 
-    Returns ``(bound_bits, per_subchannel)`` where ``per_subchannel`` maps the
-    destination-past index g to its CapacityResult.
+    Returns ``(bound_bits, per_subchannel)``; see :func:`te_capacity_bound`.
     """
-    weights = est.past_weights.probs
-    per = {}
-    bound = 0.0
-    for g in np.flatnonzero(weights > 0):
-        active = np.flatnonzero(est.tensor.support[g])
-        rows = est.tensor.probs[g, active]
-        res = channel_capacity(rows, tol=tol, max_iter=max_iter)
-        per[int(g)] = res
-        bound += weights[g] * res.capacity_bits
-    return float(bound), per
-
-
-def capacity_bound_from_counts(counts: np.ndarray, tol: float = 1e-9,
-                               max_iter: int = 10_000) -> float:
-    """Weighted subchannel capacity straight from a (g, i, j) count tensor."""
     counts = np.asarray(counts, dtype=float)
     c_gi = counts.sum(axis=2)
     c_g = c_gi.sum(axis=1)
     n = c_g.sum()
     if n <= 0:
         raise DimensionMismatch("empty count tensor")
+    per = {}
     bound = 0.0
     for g in np.flatnonzero(c_g > 0):
         active = np.flatnonzero(c_gi[g] > 0)
         rows = counts[g, active] / c_gi[g, active][:, None]
         res = channel_capacity(rows, tol=tol, max_iter=max_iter)
+        per[int(g)] = res
         bound += (c_g[g] / n) * res.capacity_bits
-    return float(bound)
+    return float(bound), per
+
+
+def te_capacity_bound(est, tol: float = 1e-9, max_iter: int = 10_000):
+    """Weighted per-subchannel capacity: an upper bound on achievable TE.
+
+    Returns ``(bound_bits, per_subchannel)`` where ``per_subchannel`` maps the
+    destination-past index g to its CapacityResult.
+    """
+    return _subchannel_capacities(est.counts, tol, max_iter)
+
+
+def capacity_bound_from_counts(counts: np.ndarray, tol: float = 1e-9,
+                               max_iter: int = 10_000) -> float:
+    """Weighted subchannel capacity straight from a (g, i, j) count tensor."""
+    return _subchannel_capacities(counts, tol, max_iter)[0]
 
 
 def relation_capacity(x, y, spec, tol: float = 1e-9):

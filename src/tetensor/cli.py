@@ -21,16 +21,9 @@ from .core import (
     InsufficientData,
     MissingSupport,
 )
-from .estimation import EmbeddingSpec, delay_scan, embed, estimate_subchannels
-from .capacity import te_capacity_bound
-from .pipeline import SCHEMA_VERSION, analyze_series, max_workers
-from .significance import (
-    SurrogateConfig,
-    acausal_mirror,
-    null_distribution,
-    p_value,
-    scan_statistic,
-)
+from .estimation import EmbeddingSpec
+from .pipeline import analyze_pair, analyze_series, max_workers
+from .significance import SurrogateConfig
 from .simulate import LatticeConfig, generate_lattice, generate_triad, quantize_extrema
 
 EXIT_OK = 0
@@ -80,7 +73,15 @@ def _read_csv(path: str):
                         ) from None
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    return header, [np.asarray(col) for col in columns]
+    arrays = [np.asarray(col) for col in columns]
+    for name, arr in zip(header, arrays):
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise DataError(
+                f"{path}: line {bad[0] + 2}: column {name!r}: "
+                f"not finite: {float(arr[bad[0]])!r}"
+            )
+    return header, arrays
 
 
 def cmd_simulate(args) -> int:
@@ -208,51 +209,31 @@ def cmd_sweep_epsilon(args) -> int:
         data = generate_lattice(cfg)
         x1 = quantize_extrema(data[:, 0])
         x2 = quantize_extrema(data[:, 1])
-        out = {"epsilon": float(eps)}
-        ac_range = acausal_mirror(taus) or None
-        for label, src, dst, sseed in (
-            ("fwd", x1, x2, children[1]),
-            ("rev", x2, x1, children[2]),
-        ):
-            scan = delay_scan(src, dst, spec, taus,
-                              objective=args.objective, tol=args.tol)
-            est = estimate_subchannels(
-                embed(src, dst, spec.with_tau(scan.tau_star))
+        fwd, rev = (
+            analyze_pair(
+                src, dst, *names, spec, taus, objective=args.objective,
+                surrogates=SurrogateConfig(
+                    n_surrogates=args.surrogates,
+                    seed=int(sseed.generate_state(1)[0]),
+                    alpha=args.alpha,
+                ),
+                tol=args.tol,
+            ).relation
+            for src, dst, names, sseed in (
+                (x1, x2, ("X1", "X2"), children[1]),
+                (x2, x1, ("X2", "X1"), children[2]),
             )
-            bound, _ = te_capacity_bound(est, tol=args.tol)
-            scfg = SurrogateConfig(
-                n_surrogates=args.surrogates,
-                seed=int(sseed.generate_state(1)[0]),
-                alpha=args.alpha,
-            )
-            observed = scan_statistic(
-                src, dst, spec, args.objective, tau_range=taus,
-                acausal_range=ac_range, tol=args.tol,
-            )
-            null = null_distribution(
-                src, dst, spec, args.objective, scfg,
-                tau_range=taus, acausal_range=ac_range, tol=args.tol,
-            )
-            out[f"capacity_{label}"] = bound
-            out[f"p_{label}"] = p_value(observed, null)
-            out[f"tau_{label}"] = scan.tau_star
-        return out
+        )
+        return [_fmt(eps), _fmt(fwd.capacity_bound_bits),
+                _fmt(rev.capacity_bound_bits), _fmt(fwd.p_value),
+                _fmt(rev.p_value), fwd.tau_star, rev.tau_star]
 
     with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        rows = list(pool.map(run, zip(grid, seeds)))
-    rows.sort(key=lambda r: r["epsilon"])
+        rows = sorted(pool.map(run, zip(grid, seeds)),
+                      key=lambda row: float(row[0]))
     header = ["epsilon", "capacity_fwd", "capacity_rev", "p_fwd", "p_rev",
               "tau_fwd", "tau_rev"]
-    _write_csv(
-        args.output,
-        header,
-        (
-            [_fmt(r["epsilon"]), _fmt(r["capacity_fwd"]),
-             _fmt(r["capacity_rev"]), _fmt(r["p_fwd"]), _fmt(r["p_rev"]),
-             r["tau_fwd"], r["tau_rev"]]
-            for r in rows
-        ),
-    )
+    _write_csv(args.output, header, rows)
     print(f"wrote {args.output}")
     return EXIT_OK
 

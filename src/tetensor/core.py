@@ -11,7 +11,7 @@ indices) and the output axis is the superscript index.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

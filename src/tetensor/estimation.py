@@ -8,10 +8,11 @@ significance module, not by smoothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .capacity import capacity_bound_from_counts
 from .core import (
     Alphabet,
     DimensionMismatch,
@@ -152,6 +153,18 @@ def embed(x, y, spec: EmbeddingSpec, x_alphabet: Alphabet | None = None,
     )
 
 
+def _rows(counts: np.ndarray):
+    """Rows of ``counts`` normalized over the last axis, plus row support.
+
+    Unsupported rows (zero total count) are left as zeros.
+    """
+    den = counts.sum(axis=-1)
+    support = den > 0
+    probs = np.zeros_like(counts)
+    probs[support] = counts[support] / den[support][:, None]
+    return probs, support
+
+
 def estimate_subchannels(data: EmbeddedDataset) -> SubchannelEstimate:
     """Plug-in estimate of the subchannel tensor and its input statistics."""
     counts = data.counts
@@ -161,9 +174,7 @@ def estimate_subchannels(data: EmbeddedDataset) -> SubchannelEstimate:
     c_g = c_gi.sum(axis=1)
     n = c_g.sum()
 
-    support_gi = c_gi > 0
-    probs = np.zeros_like(counts)
-    probs[support_gi] = counts[support_gi] / c_gi[support_gi][:, None]
+    probs, support_gi = _rows(counts)
     tensor = TransitionTensor(
         (data.past_alphabet, data.source_alphabet),
         data.output_alphabet,
@@ -171,9 +182,7 @@ def estimate_subchannels(data: EmbeddedDataset) -> SubchannelEstimate:
         support_gi,
     )
 
-    support_g = c_g > 0
-    inp = np.zeros_like(c_gi)
-    inp[support_g] = c_gi[support_g] / c_g[support_g][:, None]
+    inp, support_g = _rows(c_gi)
     input_given_past = TransitionTensor(
         (data.past_alphabet,), data.source_alphabet, inp, support_g
     )
@@ -224,7 +233,7 @@ def transfer_entropy_direct(counts: np.ndarray) -> float:
 
 
 def te_from_counts(counts: np.ndarray) -> float:
-    """TE via the subchannel decomposition, straight from a count tensor."""
+    """Direct TE formula, vectorized over the whole (g, i, j) count tensor."""
     counts = np.asarray(counts, dtype=float)
     n = counts.sum()
     if n <= 0:
@@ -246,6 +255,15 @@ class DelayScanResult:
     skipped: tuple = ()    # taus omitted because the series were too short
 
 
+def count_scorer(objective: str, tol: float = 1e-9):
+    """The statistic a named objective computes from a (g, i, j) count tensor."""
+    if objective == "te":
+        return te_from_counts
+    if objective == "capacity_bound":
+        return lambda counts: capacity_bound_from_counts(counts, tol=tol)
+    raise ValueError(f"unknown objective {objective!r}")
+
+
 def delay_scan(x, y, spec_base: EmbeddingSpec, tau_range, objective="te",
                tol: float = 1e-9) -> DelayScanResult:
     """Evaluate TE or the capacity bound over a range of delays.
@@ -254,13 +272,10 @@ def delay_scan(x, y, spec_base: EmbeddingSpec, tau_range, objective="te",
     full curve.  Delays for which the series are too short are omitted and
     reported in ``skipped``.
     """
-    from .capacity import capacity_bound_from_counts  # local import, avoids cycle
-
     taus = sorted(set(int(t) for t in tau_range))
     if not taus:
         raise ValueError("tau_range must be nonempty")
-    if objective not in ("te", "capacity_bound"):
-        raise ValueError(f"unknown objective {objective!r}")
+    score = count_scorer(objective, tol)
     x_alpha = infer_alphabet(x)
     y_alpha = infer_alphabet(y)
     xc = _encode(x, x_alpha)
@@ -275,10 +290,7 @@ def delay_scan(x, y, spec_base: EmbeddingSpec, tau_range, objective="te",
         except InsufficientData:
             skipped.append(tau)
             continue
-        if objective == "te":
-            curve[tau] = te_from_counts(counts)
-        else:
-            curve[tau] = capacity_bound_from_counts(counts, tol=tol)
+        curve[tau] = score(counts)
     if not curve:
         raise InsufficientData("no delay in tau_range fits the data length")
     tau_star = max(curve, key=lambda t: (curve[t], -t))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 import numpy as np
@@ -37,7 +37,12 @@ def max_workers() -> int:
     """Worker cap for parallel sweeps, from TENSOR_TE_THREADS if set."""
     env = os.environ.get("TENSOR_TE_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"TENSOR_TE_THREADS must be an integer, got {env!r}"
+            ) from None
     return min(4, os.cpu_count() or 1)
 
 
@@ -140,13 +145,7 @@ def analyze_series(series: dict, spec_base: EmbeddingSpec, tau_range,
 
     def run(task_seed):
         (src, dst), seed = task_seed
-        cfg = SurrogateConfig(
-            n_surrogates=base_cfg.n_surrogates,
-            method=base_cfg.method,
-            seed=int(seed.generate_state(1)[0]),
-            alpha=base_cfg.alpha,
-            block_length=base_cfg.block_length,
-        )
+        cfg = replace(base_cfg, seed=int(seed.generate_state(1)[0]))
         return (src, dst), analyze_pair(
             series[src], series[dst], src, dst, spec_base, tau_range,
             objective=objective, surrogates=cfg, tol=tol,

@@ -11,14 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import capacity_bound_from_counts
 from .core import InsufficientData
 from .estimation import (
     EmbeddingSpec,
-    _counts_from_codes,
     _encode,
+    _lag_code,
+    count_scorer,
     infer_alphabet,
-    te_from_counts,
 )
 
 
@@ -41,28 +40,6 @@ class SurrogateConfig:
             raise ValueError(
                 "too few surrogates to resolve the requested alpha"
             )
-
-
-def _statistic_fn(statistic, tol: float):
-    """Statistic over a surrogate source.
-
-    Named statistics get a fast count-tensor path; a callable receives the
-    surrogate source and intact destination as ``(x_surrogate, y, spec)``.
-    """
-    if callable(statistic):
-        def wrapped(xc, yc, kx, ky, spec):
-            return statistic(xc, yc, spec)
-        return wrapped
-    if statistic == "te":
-        def stat(xc, yc, kx, ky, spec):
-            return te_from_counts(_counts_from_codes(xc, yc, kx, ky, spec))
-        return stat
-    if statistic == "capacity_bound":
-        def stat(xc, yc, kx, ky, spec):
-            counts = _counts_from_codes(xc, yc, kx, ky, spec)
-            return capacity_bound_from_counts(counts, tol=tol)
-        return stat
-    raise ValueError(f"unknown statistic {statistic!r}")
 
 
 def _surrogate_source(x: np.ndarray, rng: np.random.Generator,
@@ -124,10 +101,13 @@ class _ScanEvaluator:
         self.ac_taus = ac
         all_taus = taus + ac
         self.min_shift = max(abs(t) for t in all_taus) + spec.m_len
-        self.fast = statistic in ("te", "capacity_bound")
-        if not self.fast:
-            self.fn = _statistic_fn(statistic, tol)
+        if callable(statistic):
+            # A callable receives the surrogate source and the intact
+            # destination as ``(x_surrogate, y, spec)``.
+            self.statistic = statistic
+            self.score = None
             return
+        self.score = count_scorer(statistic, tol)
         loss = max(spec.with_tau(t).alignment_loss for t in all_taus)
         tail = max(spec.with_tau(t).tail_loss for t in all_taus)
         if len(self.yc) <= loss + tail:
@@ -135,9 +115,6 @@ class _ScanEvaluator:
                 f"need more than {loss + tail} samples for this delay range",
                 required_length=loss + tail + 1,
             )
-        from .estimation import _lag_code
-
-        self._lag_code = _lag_code
         self.loss = loss
         t = np.arange(loss, len(self.yc) - tail)
         self.n_samples = len(t)
@@ -146,8 +123,6 @@ class _ScanEvaluator:
         self.n_i = self.kx ** spec.m_len
         self.base = g * (self.n_i * self.ky) + self.yc[t]
         self.n_cells = self.n_g * self.n_i * self.ky
-        self.score = (te_from_counts if statistic == "te"
-                      else lambda c: capacity_bound_from_counts(c, tol=tol))
 
     def _fast_value(self, pc, tau):
         m1 = self.spec.m_len - 1
@@ -159,22 +134,21 @@ class _ScanEvaluator:
         )
 
     def __call__(self, xs: np.ndarray) -> float:
-        if self.fast:
+        if self.score is None:
+            def value(tau):
+                return self.statistic(xs, self.yc, self.spec.with_tau(tau))
+        else:
             m1 = self.spec.m_len - 1
             # Source-vector code at every time point, indexed by its most
             # recent lag and pre-scaled by the output radix.
-            pc = self._lag_code(xs, np.arange(m1, len(xs)),
-                                range(0, self.spec.m_len), self.kx) * self.ky
-            best = max(self._fast_value(pc, tau) for tau in self.taus)
-            if self.ac_taus:
-                best -= max(self._fast_value(pc, tau) for tau in self.ac_taus)
-            return best
-        args = (self.yc, self.kx, self.ky)
-        best = max(self.fn(xs, *args, self.spec.with_tau(tau))
-                   for tau in self.taus)
+            pc = _lag_code(xs, np.arange(m1, len(xs)),
+                           range(0, self.spec.m_len), self.kx) * self.ky
+
+            def value(tau):
+                return self._fast_value(pc, tau)
+        best = max(value(tau) for tau in self.taus)
         if self.ac_taus:
-            best -= max(self.fn(xs, *args, self.spec.with_tau(tau))
-                        for tau in self.ac_taus)
+            best -= max(value(tau) for tau in self.ac_taus)
         return best
 
 

@@ -7,7 +7,7 @@ only flow toward higher map indices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,22 +10,16 @@ conditions, so verdicts carry a confidence qualifier.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Alphabet,
-    DimensionMismatch,
-    MissingSupport,
-    Pmf,
-    TransitionTensor,
-)
+from .core import DimensionMismatch, MissingSupport, TransitionTensor
 from .estimation import (
-    EmbeddingSpec,
     SubchannelEstimate,
     _encode,
     _lag_code,
+    _rows,
     infer_alphabet,
 )
 
@@ -361,48 +355,28 @@ def estimate_triad_tensors(a, b, c, tau1: int, tau2: int,
     h_alpha = alpha_c.power(ell)
 
     # p(j | g, i)
-    c_gij = np.transpose(counts.sum(axis=(0, 4)), (1, 0, 2))  # (g, i, j)
-    den = c_gij.sum(axis=2)
-    sup = den > 0
-    probs = np.zeros_like(c_gij)
-    probs[sup] = c_gij[sup] / den[sup][:, None]
+    probs, sup = _rows(np.transpose(counts.sum(axis=(0, 4)), (1, 0, 2)))
     a_t = TransitionTensor((g_alpha, alpha_a), alpha_b, probs, sup)
 
     # p(g | h, i)
-    c_hig = counts.sum(axis=(3, 4))                      # (h, i, g)
-    den = c_hig.sum(axis=2)
-    sup_hi = den > 0
-    probs = np.zeros_like(c_hig)
-    probs[sup_hi] = c_hig[sup_hi] / den[sup_hi][:, None]
+    probs, sup_hi = _rows(counts.sum(axis=(3, 4)))
     weights = TransitionTensor((h_alpha, alpha_a), g_alpha, probs, sup_hi)
-    row_counts = den
 
     # p(j | h, i), the directly estimated A-bar
-    c_hij = counts.sum(axis=(2, 4))                      # (h, i, j)
-    probs = np.zeros_like(c_hij)
-    probs[sup_hi] = c_hij[sup_hi] / row_counts[sup_hi][:, None]
+    probs, _ = _rows(counts.sum(axis=(2, 4)))
     a_bar = TransitionTensor((h_alpha, alpha_a), alpha_b, probs, sup_hi)
 
     # p(k | h, i)
-    c_hik = counts.sum(axis=(2, 3))                      # (h, i, k)
-    probs = np.zeros_like(c_hik)
-    probs[sup_hi] = c_hik[sup_hi] / row_counts[sup_hi][:, None]
+    probs, _ = _rows(counts.sum(axis=(2, 3)))
     c_t = TransitionTensor((h_alpha, alpha_a), alpha_c, probs, sup_hi)
 
     # p(k | h, j)
-    c_hjk = counts.sum(axis=(1, 2))                      # (h, j, k)
-    den = c_hjk.sum(axis=2)
-    sup_hj = den > 0
-    probs = np.zeros_like(c_hjk)
-    probs[sup_hj] = c_hjk[sup_hj] / den[sup_hj][:, None]
+    probs, sup_hj = _rows(counts.sum(axis=(1, 2)))
     b_t = TransitionTensor((h_alpha, alpha_b), alpha_c, probs, sup_hj)
 
     # p(i | h)
-    c_hi = counts.sum(axis=(2, 3, 4))                    # (h, i)
-    den = c_hi.sum(axis=1)
-    sup_h = den > 0
-    probs = np.zeros_like(c_hi)
-    probs[sup_h] = c_hi[sup_h] / den[sup_h][:, None]
+    row_counts = counts.sum(axis=(2, 3, 4))              # samples per (h, i)
+    probs, sup_h = _rows(row_counts)
     input_given_h = TransitionTensor((h_alpha,), alpha_a, probs, sup_h)
 
     a_bar_summed = bar_tensor(a_t, weights)

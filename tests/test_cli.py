@@ -117,6 +117,19 @@ class TestAnalyze:
         code = run_cli(["analyze", "--input", str(src), "--pre-quantized"])
         assert code == 3
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_is_data_error(self, tmp_path, capsys, cell):
+        src = tmp_path / "bad.csv"
+        self._make_pair_csv(src, n=400)
+        lines = src.read_text().splitlines()
+        lines[2] = f"0.5,{cell}"
+        src.write_text("\n".join(lines) + "\n")
+        code = run_cli(["analyze", "--input", str(src), "--tau-max", "2",
+                        "--surrogates", "19", "--alpha", "0.05"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "line 3" in err and "'B'" in err
+
     def test_non_integer_pre_quantized_is_data_error(self, tmp_path):
         src = tmp_path / "bad.csv"
         src.write_text("A,B\n0.5,0\n1,1\n")
@@ -160,6 +173,58 @@ class TestSweepEpsilon:
             assert float(row["capacity_fwd"]) >= 0.0
             assert float(row["tau_fwd"]) == int(float(row["tau_fwd"]))
 
+    def test_rows_are_analyze_pair_of_seeded_lattices(self, tmp_path):
+        from tetensor.estimation import EmbeddingSpec
+        from tetensor.pipeline import analyze_pair
+        from tetensor.significance import SurrogateConfig
+        from tetensor.simulate import (
+            LatticeConfig,
+            generate_lattice,
+            quantize_extrema,
+        )
+
+        out = tmp_path / "sweep.csv"
+        grid = [0.4, 0.6]
+        code = run_cli([
+            "sweep-epsilon", "--eps-min", "0.4", "--eps-max", "0.6",
+            "--eps-step", "0.2", "--maps", "5", "--n", "4000",
+            "--transient", "500", "--tau-max", "4", "--surrogates", "39",
+            "--alpha", "0.05", "--seed", "7", "--output", str(out),
+        ])
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(grid)
+
+        def state(seq):
+            return int(seq.generate_state(1)[0])
+
+        spec = EmbeddingSpec(ell=1, m_len=2, tau=1)
+        seeds = np.random.SeedSequence(7).spawn(len(grid))
+        for row, eps, seed in zip(rows, grid, seeds):
+            children = seed.spawn(3)
+            data = generate_lattice(LatticeConfig(
+                n_maps=5, epsilon=float(row["epsilon"]), n_samples=4000,
+                transient=500, seed=state(children[0]), boundary="periodic",
+            ))
+            assert float(row["epsilon"]) == pytest.approx(eps)
+            x1 = quantize_extrema(data[:, 0])
+            x2 = quantize_extrema(data[:, 1])
+            for label, src, dst, names, child in (
+                ("fwd", x1, x2, ("X1", "X2"), children[1]),
+                ("rev", x2, x1, ("X2", "X1"), children[2]),
+            ):
+                rel = analyze_pair(
+                    src, dst, *names, spec, range(1, 5),
+                    surrogates=SurrogateConfig(n_surrogates=39,
+                                               seed=state(child),
+                                               alpha=0.05),
+                ).relation
+                assert float(row[f"capacity_{label}"]) == \
+                    rel.capacity_bound_bits
+                assert float(row[f"p_{label}"]) == rel.p_value
+                assert int(row[f"tau_{label}"]) == rel.tau_star
+
 
 class TestCapacity:
     def test_bsc_capacity_output(self, tmp_path, capsys):
@@ -199,6 +264,9 @@ class TestThreadEnvVar:
         assert max_workers() == 2
         monkeypatch.setenv("TENSOR_TE_THREADS", "0")
         assert max_workers() == 1
+        monkeypatch.setenv("TENSOR_TE_THREADS", "two")
+        with pytest.raises(ValueError, match="TENSOR_TE_THREADS.*'two'"):
+            max_workers()
         monkeypatch.delenv("TENSOR_TE_THREADS")
         assert max_workers() >= 1
 
