@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Alphabet, DimensionMismatch, Pmf, TransitionTensor
+from .core import DimensionMismatch, Pmf, TransitionTensor
 
 
 @dataclass(frozen=True)
@@ -40,38 +40,40 @@ def _channel_matrix(channel):
     arr = np.asarray(channel, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatch("channel matrix must be 2-D")
+    from .core import Alphabet
+
     return arr, np.arange(arr.shape[0]), Alphabet(tuple(range(arr.shape[0])))
 
 
-def _stochastic(rows: np.ndarray) -> np.ndarray:
-    """Rows rescaled to sum to one; rows off by more than 1e-9 are rejected."""
+def blahut_arimoto(channel, tol: float = 1e-9,
+                   max_iter: int = 10_000) -> CapacityResult:
+    """Capacity (bits) and achieving input distribution of a DMC."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    rows, active, input_alphabet = _channel_matrix(channel)
     row_sums = rows.sum(axis=1)
-    if (np.abs(row_sums - 1.0) > 1e-9).any():
+    if np.any(np.abs(row_sums - 1.0) > 1e-9):
         raise DimensionMismatch("channel rows must be stochastic")
-    return rows / row_sums[:, None]
+    rows = rows / row_sums[:, None]
 
-
-def _result(solution, active=None, input_alphabet=None) -> CapacityResult:
-    """CapacityResult of a solver tuple, its weights placed at ``active``
-    of ``input_alphabet`` (by default, the alphabet of row indices)."""
-    bits, weights, iters, converged, gap = solution
-    if input_alphabet is None:
-        active = np.arange(len(weights))
-        input_alphabet = Alphabet(tuple(range(len(weights))))
-    full = np.zeros(input_alphabet.cardinality)
-    full[active] = weights
-    return CapacityResult(bits, Pmf(input_alphabet, full), iters, converged,
-                          gap)
-
-
-def _blahut_arimoto_rows(rows: np.ndarray, tol: float, max_iter: int):
-    """Blahut-Arimoto on stochastic rows; returns a solver tuple."""
     # Output symbols no input can ever reach carry no information; drop them.
     live_cols = rows.sum(axis=0) > 0
     w = rows[:, live_cols]
     n_in = w.shape[0]
+
+    def result(r, cap, iters, converged, gap):
+        full = np.zeros(input_alphabet.cardinality)
+        full[active] = r
+        return CapacityResult(
+            capacity_bits=max(cap, 0.0),
+            optimal_input=Pmf(input_alphabet, full),
+            iterations=iters,
+            converged=converged,
+            gap_bound=gap,
+        )
+
     if n_in == 1:
-        return 0.0, np.ones(1), 0, True, 0.0
+        return result(np.ones(1), 0.0, 0, True, 0.0)
 
     # Precompute sum_j w_ij log2 w_ij so each iteration is one matvec, one
     # log, one matvec, and the multiplicative update.
@@ -90,24 +92,15 @@ def _blahut_arimoto_rows(rows: np.ndarray, tol: float, max_iter: int):
         cap = float(lower)
         gap = float(upper - lower)
         if gap <= tol:
-            return max(cap, 0.0), r, iterations, True, gap
+            return result(r, cap, iterations, True, gap)
         r = r * np.exp2(d - upper)
         r = r / r.sum()
-    return max(cap, 0.0), r, iterations, False, gap
+    return result(r, cap, iterations, False, gap)
 
 
-def blahut_arimoto(channel, tol: float = 1e-9,
-                   max_iter: int = 10_000) -> CapacityResult:
-    """Capacity (bits) and achieving input distribution of a DMC."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rows, active, input_alphabet = _channel_matrix(channel)
-    return _result(_blahut_arimoto_rows(_stochastic(rows), tol, max_iter),
-                   active, input_alphabet)
-
-
-def _two_row_capacity(w: np.ndarray, tol: float):
-    """Closed-form-style capacity for a two-input channel; a solver tuple.
+def _two_row_capacity(w: np.ndarray, tol: float,
+                      input_alphabet, active) -> CapacityResult:
+    """Closed-form-style capacity for a two-input channel.
 
     I(p) for input weights (p, 1-p) is concave with derivative
     d1(p) - d2(p), where d_i is the information density of row i against the
@@ -115,25 +108,31 @@ def _two_row_capacity(w: np.ndarray, tol: float):
     precision and the Kuhn-Tucker slack still certifies the gap.
     """
     w1, w2 = w[0], w[1]
-    positive = (w > 0).all()
 
     def densities(p):
         q = p * w1 + (1.0 - p) * w2
-        if positive:    # then q > 0 too: both rows in one pass
-            return (w * np.log2(w / q)).sum(axis=1)
         out = np.empty(2)
         for idx, row in enumerate((w1, w2)):
             mask = row > 0
-            r, qm = row[mask], q[mask]
-            out[idx] = np.inf if (qm <= 0).any() else (r * np.log2(r / qm)).sum()
+            if np.any(q[mask] <= 0):
+                out[idx] = np.inf
+            else:
+                out[idx] = np.sum(row[mask] * np.log2(row[mask] / q[mask]))
         return out
 
     def result(p, iters):
         d = densities(p)
         lower = p * d[0] + (1.0 - p) * d[1]
         gap = float(max(d) - lower)
-        return (max(float(lower), 0.0), np.array([p, 1.0 - p]), iters,
-                gap <= max(tol, 1e-12), gap)
+        full = np.zeros(input_alphabet.cardinality)
+        full[active] = (p, 1.0 - p)
+        return CapacityResult(
+            capacity_bits=max(float(lower), 0.0),
+            optimal_input=Pmf(input_alphabet, full),
+            iterations=iters,
+            converged=gap <= max(tol, 1e-12),
+            gap_bound=gap,
+        )
 
     if np.abs(w1 - w2).max() == 0:
         return result(0.5, 0)
@@ -178,31 +177,6 @@ def _two_row_capacity(w: np.ndarray, tol: float):
     return result(0.5 * (lo + hi), iters + 1)
 
 
-def _capacity(rows: np.ndarray, tol: float, max_iter: int):
-    """Solver tuple ``(bits, weights, iterations, converged, gap)`` of a
-    channel matrix; see :func:`channel_capacity` for the fast paths."""
-    rows = _stochastic(rows)
-    if rows.shape[0] == 2:
-        return _two_row_capacity(rows, tol)
-    live = np.flatnonzero(rows.sum(axis=0) > 0)
-    useless = (0.0, np.full(len(rows), 1.0 / len(rows)), 0, True, 0.0)
-    if live.size == 1:
-        return useless
-    if live.size == 2:
-        a = rows[:, live[0]]
-        pick = np.array([int(np.argmin(a)), int(np.argmax(a))])
-        if a[pick[0]] == a[pick[1]]:
-            return useless
-        bits, pair, iters, converged, gap = _two_row_capacity(
-            rows[pick][:, live], tol)
-        weights = np.zeros(len(rows))
-        weights[pick] = pair
-        return bits, weights, iters, converged, gap
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _blahut_arimoto_rows(rows, tol, max_iter)
-
-
 def channel_capacity(channel, tol: float = 1e-9,
                      max_iter: int = 10_000) -> CapacityResult:
     """Capacity with fast exact paths for small channels.
@@ -216,12 +190,34 @@ def channel_capacity(channel, tol: float = 1e-9,
     fast paths are tested to agree with it to well below ``tol``.
     """
     rows, active, input_alphabet = _channel_matrix(channel)
-    return _result(_capacity(rows, tol, max_iter), active, input_alphabet)
+    row_sums = rows.sum(axis=1)
+    if np.any(np.abs(row_sums - 1.0) > 1e-9):
+        raise DimensionMismatch("channel rows must be stochastic")
+    rows = rows / row_sums[:, None]
+    if rows.shape[0] == 2:
+        return _two_row_capacity(rows, tol, input_alphabet, active)
+    live = np.flatnonzero(rows.sum(axis=0) > 0)
+    if live.size == 1:
+        full = np.zeros(input_alphabet.cardinality)
+        full[active] = 1.0 / active.size
+        return CapacityResult(0.0, Pmf(input_alphabet, full), 0, True, 0.0)
+    if live.size == 2:
+        a = rows[:, live[0]]
+        pick = np.array([int(np.argmin(a)), int(np.argmax(a))])
+        if a[pick[0]] == a[pick[1]]:
+            full = np.zeros(input_alphabet.cardinality)
+            full[active] = 1.0 / active.size
+            return CapacityResult(0.0, Pmf(input_alphabet, full), 0, True, 0.0)
+        return _two_row_capacity(rows[pick][:, live], tol,
+                                 input_alphabet, active[pick])
+    return blahut_arimoto(channel, tol=tol, max_iter=max_iter)
 
 
 def _subchannel_capacities(counts, tol: float, max_iter: int):
-    """Weighted per-subchannel capacity of a (g, i, j) count tensor:
-    ``(bound_bits, {g: solver tuple})``; see :func:`te_capacity_bound`."""
+    """Weighted per-subchannel capacity of a (g, i, j) count tensor.
+
+    Returns ``(bound_bits, per_subchannel)``; see :func:`te_capacity_bound`.
+    """
     counts = np.asarray(counts, dtype=float)
     c_gi = counts.sum(axis=2)
     c_g = c_gi.sum(axis=1)
@@ -230,11 +226,12 @@ def _subchannel_capacities(counts, tol: float, max_iter: int):
         raise DimensionMismatch("empty count tensor")
     per = {}
     bound = 0.0
-    for g in (c_g > 0).nonzero()[0]:
-        active = (c_gi[g] > 0).nonzero()[0]
+    for g in np.flatnonzero(c_g > 0):
+        active = np.flatnonzero(c_gi[g] > 0)
         rows = counts[g, active] / c_gi[g, active][:, None]
-        per[int(g)] = solution = _capacity(rows, tol, max_iter)
-        bound += (c_g[g] / n) * solution[0]
+        res = channel_capacity(rows, tol=tol, max_iter=max_iter)
+        per[int(g)] = res
+        bound += (c_g[g] / n) * res.capacity_bits
     return float(bound), per
 
 
@@ -244,8 +241,7 @@ def te_capacity_bound(est, tol: float = 1e-9, max_iter: int = 10_000):
     Returns ``(bound_bits, per_subchannel)`` where ``per_subchannel`` maps the
     destination-past index g to its CapacityResult.
     """
-    bound, per = _subchannel_capacities(est.counts, tol, max_iter)
-    return bound, {g: _result(solution) for g, solution in per.items()}
+    return _subchannel_capacities(est.counts, tol, max_iter)
 
 
 def capacity_bound_from_counts(counts: np.ndarray, tol: float = 1e-9,

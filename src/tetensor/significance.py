@@ -42,10 +42,22 @@ class SurrogateConfig:
             )
 
 
-def _block_permutation(x: np.ndarray, rng: np.random.Generator,
-                       block_length: int) -> np.ndarray:
-    blocks = np.array_split(x, range(block_length, len(x), block_length))
-    return np.concatenate([blocks[b] for b in rng.permutation(len(blocks))])
+def _surrogate_source(x: np.ndarray, rng: np.random.Generator,
+                      cfg: SurrogateConfig, min_shift: int) -> np.ndarray:
+    n = len(x)
+    if cfg.method == "circular-shift":
+        if n <= 2 * min_shift:
+            raise InsufficientData(
+                f"series of length {n} too short for shifts >= {min_shift}"
+            )
+        offset = int(rng.integers(min_shift, n - min_shift))
+        return np.roll(x, offset)
+    blocks = [
+        x[start:start + cfg.block_length]
+        for start in range(0, n, cfg.block_length)
+    ]
+    order = rng.permutation(len(blocks))
+    return np.concatenate([blocks[b] for b in order])
 
 
 def acausal_mirror(tau_range) -> tuple:
@@ -58,11 +70,6 @@ def acausal_mirror(tau_range) -> tuple:
     return tuple(sorted({-int(t) for t in tau_range if int(t) >= 2}))
 
 
-# Bit-packed counting beats one bincount per lag up to this many
-# (non-last source code) x (destination cell + 2) pairs.
-_POPCOUNT_PAIRS = 60
-
-
 class _ScanEvaluator:
     """Max-over-delays statistic for a fixed destination series.
 
@@ -70,9 +77,9 @@ class _ScanEvaluator:
     ``max over causal - max over acausal``.  Named statistics use a shared
     sample range covering every requested alignment, so the destination part
     of the count index is built once and each (source, delay) evaluation
-    costs one slice plus one bincount or a few bit-packed popcounts.  The
-    same evaluator scores both the real source and its surrogates, keeping
-    the two exchangeable under independence.
+    costs one slice plus one bincount.  The same evaluator scores both the
+    real source and its surrogates, keeping the two exchangeable under
+    independence.
     """
 
     def __init__(self, x, y, spec: EmbeddingSpec, statistic,
@@ -117,78 +124,32 @@ class _ScanEvaluator:
         self.base = g * (self.n_i * self.ky) + self.yc[t]
         self.n_cells = self.n_g * self.n_i * self.ky
 
-    def _score(self, counts: np.ndarray) -> float:
-        return self.score(counts.reshape(self.n_g, self.n_i, self.ky))
+    def _fast_value(self, pc, tau):
+        m1 = self.spec.m_len - 1
+        start = self.loss - tau - m1
+        i = pc[start:start + self.n_samples]
+        counts = np.bincount(self.base + i, minlength=self.n_cells)
+        return self.score(
+            counts.reshape(self.n_g, self.n_i, self.ky).astype(float)
+        )
 
-    def _margin(self, value) -> float:
+    def __call__(self, xs: np.ndarray) -> float:
+        if self.score is None:
+            def value(tau):
+                return self.statistic(xs, self.yc, self.spec.with_tau(tau))
+        else:
+            m1 = self.spec.m_len - 1
+            # Source-vector code at every time point, indexed by its most
+            # recent lag and pre-scaled by the output radix.
+            pc = _lag_code(xs, np.arange(m1, len(xs)),
+                           range(0, self.spec.m_len), self.kx) * self.ky
+
+            def value(tau):
+                return self._fast_value(pc, tau)
         best = max(value(tau) for tau in self.taus)
         if self.ac_taus:
             best -= max(value(tau) for tau in self.ac_taus)
         return best
-
-    def __call__(self, xs: np.ndarray) -> float:
-        if self.score is None:
-            return self._margin(
-                lambda tau: self.statistic(xs, self.yc, self.spec.with_tau(tau))
-            )
-        return self.shifted([0], xs)[0]
-
-    def shifted(self, offsets, xs=None) -> np.ndarray:
-        """Statistic of each circular shift ``np.roll(xs, offset)`` of a
-        source, by default the real one."""
-        xs = self.xc if xs is None else xs
-        if self.score is None:
-            return np.array([self(np.roll(xs, o)) for o in offsets])
-        counts, n = self._counter(xs), len(xs)
-        return np.array([
-            self._margin(
-                lambda tau: self._score(counts((self.loss - tau - o) % n)))
-            for o in offsets
-        ])
-
-    def _counter(self, xs: np.ndarray):
-        """``counts(lag)``: flat count tensor with sample ``s`` meeting the
-        circular source-vector code ``cc[(s + lag) mod n]`` of ``xs``.
-
-        The source shifted by ``o`` at delay ``tau`` is read from lag
-        ``loss - tau - o``.  Each count tensor is one bincount or, for few
-        (destination cell, source code) pairs, popcounts of bit-packed
-        indicator series, the last code getting what the others leave.
-        """
-        n, m1 = len(xs), self.spec.m_len - 1
-        cc = _lag_code(np.concatenate([xs[n - m1:], xs]),
-                       np.arange(m1, n + m1), range(m1 + 1), self.kx)
-        doubled = np.tile(cc, 2)
-        totals = np.bincount(self.base)
-        cells = np.flatnonzero(totals)
-        codes = np.flatnonzero(np.bincount(cc))
-        if not hasattr(np, "bitwise_count") or \
-                (len(codes) - 1) * (len(cells) + 2) > _POPCOUNT_PAIRS:
-            doubled *= self.ky
-            return lambda lag: np.bincount(
-                self.base + doubled[lag:lag + self.n_samples],
-                minlength=self.n_cells).astype(float)
-
-        words = -(-self.n_samples // 64)
-
-        def packed(bits):
-            out = np.zeros(words * 8, dtype=np.uint8)
-            out[:(len(bits) + 7) // 8] = np.packbits(bits)
-            return out.view(np.uint64)
-        dest = np.array([packed(self.base == b) for b in cells])
-        sources = [doubled == c for c in codes[:-1]]
-        flat = (cells[:, None] + self.ky * codes[None, :]).ravel()
-
-        def counts(lag):
-            hits = np.empty((len(cells), len(codes)))
-            for k, source in enumerate(sources):
-                window = packed(source[lag:lag + self.n_samples])
-                hits[:, k] = np.bitwise_count(dest & window).sum(axis=1)
-            hits[:, -1] = totals[cells] - hits[:, :-1].sum(axis=1)
-            out = np.zeros(self.n_cells)
-            out[flat] = hits.ravel()
-            return out
-        return counts
 
 
 def scan_statistic(x, y, spec: EmbeddingSpec, statistic, tau_range=None,
@@ -222,18 +183,12 @@ def null_distribution(x, y, spec: EmbeddingSpec, statistic,
     evaluator = _ScanEvaluator(x, y, spec, statistic, tau_range,
                                acausal_range, tol)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_surrogates)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    n, lo = len(evaluator.xc), evaluator.min_shift
-    if cfg.method == "block-permutation":
-        return np.array([
-            evaluator(_block_permutation(evaluator.xc, rng, cfg.block_length))
-            for rng in rngs
-        ])
-    if n <= 2 * lo:
-        raise InsufficientData(
-            f"series of length {n} too short for shifts >= {lo}"
-        )
-    return evaluator.shifted([int(rng.integers(lo, n - lo)) for rng in rngs])
+    values = np.empty(cfg.n_surrogates)
+    for idx, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        xs = _surrogate_source(evaluator.xc, rng, cfg, evaluator.min_shift)
+        values[idx] = evaluator(xs)
+    return values
 
 
 def p_value(observed: float, null) -> float:

@@ -49,15 +49,16 @@ def generate_lattice(cfg: LatticeConfig) -> np.ndarray:
     for fp in (1.0, -2.0):
         state[state == fp] += 1e-9
     out = np.empty((cfg.n_samples, cfg.n_maps))
-    # x_i <- f(w_i x_{i-1} + (1 - w_i) x_i) with periodic left neighbours;
-    # under the free boundary map 0 gets weight 0 and so runs uncoupled.
-    left = np.roll(np.arange(cfg.n_maps), 1)
-    weight = np.full(cfg.n_maps, cfg.epsilon)
-    if cfg.boundary == "free-first-map":
-        weight[0] = 0.0
-    keep = 1.0 - weight
+    eps = cfg.epsilon
     for step in range(cfg.transient + cfg.n_samples):
-        state = _ulam(weight * state[left] + keep * state)
+        if cfg.boundary == "periodic":
+            left = np.roll(state, 1)
+            state = _ulam(eps * left + (1.0 - eps) * state)
+        else:
+            nxt = np.empty_like(state)
+            nxt[0] = _ulam(state[0])
+            nxt[1:] = _ulam(eps * state[:-1] + (1.0 - eps) * state[1:])
+            state = nxt
         if step >= cfg.transient:
             out[step - cfg.transient] = state
     return out

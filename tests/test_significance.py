@@ -131,76 +131,6 @@ class TestScanStatisticAndNull:
 
         assert abs(ev(ev.xc) - reference(ev.xc)) < 1e-12
 
-    @pytest.mark.parametrize("kx,ky,ell,m_len,statistic", [
-        (2, 2, 1, 1, "capacity_bound"),
-        (3, 2, 2, 2, "te"),
-        (3, 3, 1, 2, "te"),
-        (2, 4, 3, 3, "te"),
-    ])
-    def test_popcount_and_bincount_agree(self, monkeypatch, kx, ky, ell,
-                                         m_len, statistic):
-        # Bit-packed popcounts and direct bincounts must give exactly the
-        # statistic of each rolled source, for every alphabet and embedding
-        # shape.
-        import tetensor.significance as significance
-
-        rng = np.random.default_rng(kx * 100 + ky * 10 + m_len)
-        n = 3001
-        x = rng.integers(0, kx, n)
-        y = (np.roll(x, 2) + (rng.random(n) < 0.3)) % ky
-        taus = [1, 2, 3, 4]
-        ev = _ScanEvaluator(x, y, EmbeddingSpec(ell=ell, m_len=m_len),
-                            statistic, taus, acausal_mirror(taus))
-        offsets = rng.integers(ev.min_shift, n - ev.min_shift, 25)
-        rolled = [ev(np.roll(ev.xc, o)) for o in offsets]
-        for pairs in (0, 10 ** 9):   # never popcount, always popcount
-            monkeypatch.setattr(significance, "_POPCOUNT_PAIRS", pairs)
-            assert ev.shifted(offsets).tolist() == rolled
-
-    @pytest.mark.parametrize("kx,ky,ell,m_len", [(2, 2, 1, 1), (3, 2, 2, 2)])
-    def test_shift_at_one_delay_matches_embedding(self, monkeypatch, kx, ky,
-                                                  ell, m_len):
-        # At a single delay the evaluator's sample range is the embedding's
-        # own, so each shifted value must equal TE of the embedded counts
-        # of the rolled source: this pins the lag of every (shift, delay).
-        import tetensor.significance as significance
-        from tetensor.estimation import _counts_from_codes, te_from_counts
-
-        rng = np.random.default_rng(kx + 10 * m_len)
-        n = 2000
-        x = rng.integers(0, kx, n)
-        y = (np.roll(x, 3) + (rng.random(n) < 0.2)) % ky
-        for tau in (-3, 1, 3):
-            spec = EmbeddingSpec(ell=ell, m_len=m_len, tau=tau)
-            ev = _ScanEvaluator(x, y, spec, "te")
-            offsets = [0] + list(rng.integers(ev.min_shift,
-                                              n - ev.min_shift, 10))
-            expected = [te_from_counts(_counts_from_codes(
-                np.roll(ev.xc, o), ev.yc, ev.kx, ev.ky, spec))
-                for o in offsets]
-            for pairs in (0, 10 ** 9):
-                monkeypatch.setattr(significance, "_POPCOUNT_PAIRS", pairs)
-                assert ev.shifted(offsets).tolist() == expected
-
-    def test_null_is_statistic_of_rolled_sources(self):
-        # null_distribution draws one offset per spawned seed and scores
-        # the source rolled by it.
-        x, y = _coupled_pair(n=4000, seed=6)
-        spec = EmbeddingSpec()
-        taus = [1, 2, 3]
-        cfg = SurrogateConfig(n_surrogates=99, seed=11, alpha=0.05)
-        ev = _ScanEvaluator(x, y, spec, "capacity_bound", taus,
-                            acausal_mirror(taus))
-        expected = []
-        for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.n_surrogates):
-            rng = np.random.default_rng(seed)
-            offset = int(rng.integers(ev.min_shift, len(x) - ev.min_shift))
-            expected.append(ev(np.roll(ev.xc, offset)))
-        null = null_distribution(x, y, spec, "capacity_bound", cfg,
-                                 tau_range=taus,
-                                 acausal_range=acausal_mirror(taus))
-        assert null.tolist() == expected
-
     def test_observed_uses_same_machinery_as_null(self):
         x, y = _coupled_pair(n=2000, seed=4)
         spec = EmbeddingSpec()
