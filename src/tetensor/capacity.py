@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, Pmf, TransitionTensor
+from .core import Alphabet, DimensionMismatch, Pmf, TransitionTensor
 
 
 @dataclass(frozen=True)
@@ -40,40 +40,41 @@ def _channel_matrix(channel):
     arr = np.asarray(channel, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatch("channel matrix must be 2-D")
-    from .core import Alphabet
-
     return arr, np.arange(arr.shape[0]), Alphabet(tuple(range(arr.shape[0])))
 
 
-def blahut_arimoto(channel, tol: float = 1e-9,
-                   max_iter: int = 10_000) -> CapacityResult:
-    """Capacity (bits) and achieving input distribution of a DMC."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rows, active, input_alphabet = _channel_matrix(channel)
+def _stochastic(rows: np.ndarray) -> np.ndarray:
+    """Rows rescaled to sum to one; rows off by more than 1e-9 are rejected."""
     row_sums = rows.sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > 1e-9):
         raise DimensionMismatch("channel rows must be stochastic")
-    rows = rows / row_sums[:, None]
+    return rows / row_sums[:, None]
 
+
+# The solvers below return plain tuples ``(bits, weights, iterations,
+# converged, gap)``; CapacityResult and Pmf are built only by the public
+# functions, so the surrogate null's scorer never builds them.
+def _result(solution, active=None, input_alphabet=None) -> CapacityResult:
+    """CapacityResult of a solver tuple, its weights placed at ``active``
+    of ``input_alphabet`` (by default, the alphabet of row indices)."""
+    bits, weights, iters, converged, gap = solution
+    if input_alphabet is None:
+        active = np.arange(len(weights))
+        input_alphabet = Alphabet(tuple(range(len(weights))))
+    full = np.zeros(input_alphabet.cardinality)
+    full[active] = weights
+    return CapacityResult(bits, Pmf(input_alphabet, full), iters, converged,
+                          gap)
+
+
+def _blahut_arimoto_rows(rows: np.ndarray, tol: float, max_iter: int):
+    """Blahut-Arimoto on stochastic rows; returns a solver tuple."""
     # Output symbols no input can ever reach carry no information; drop them.
     live_cols = rows.sum(axis=0) > 0
     w = rows[:, live_cols]
     n_in = w.shape[0]
-
-    def result(r, cap, iters, converged, gap):
-        full = np.zeros(input_alphabet.cardinality)
-        full[active] = r
-        return CapacityResult(
-            capacity_bits=max(cap, 0.0),
-            optimal_input=Pmf(input_alphabet, full),
-            iterations=iters,
-            converged=converged,
-            gap_bound=gap,
-        )
-
     if n_in == 1:
-        return result(np.ones(1), 0.0, 0, True, 0.0)
+        return 0.0, np.ones(1), 0, True, 0.0
 
     # Precompute sum_j w_ij log2 w_ij so each iteration is one matvec, one
     # log, one matvec, and the multiplicative update.
@@ -92,21 +93,85 @@ def blahut_arimoto(channel, tol: float = 1e-9,
         cap = float(lower)
         gap = float(upper - lower)
         if gap <= tol:
-            return result(r, cap, iterations, True, gap)
+            return max(cap, 0.0), r, iterations, True, gap
         r = r * np.exp2(d - upper)
         r = r / r.sum()
-    return result(r, cap, iterations, False, gap)
+    return max(cap, 0.0), r, iterations, False, gap
 
 
-def _two_row_capacity(w: np.ndarray, tol: float,
-                      input_alphabet, active) -> CapacityResult:
-    """Closed-form-style capacity for a two-input channel.
+def blahut_arimoto(channel, tol: float = 1e-9,
+                   max_iter: int = 10_000) -> CapacityResult:
+    """Capacity (bits) and achieving input distribution of a DMC."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    rows, active, input_alphabet = _channel_matrix(channel)
+    return _result(_blahut_arimoto_rows(_stochastic(rows), tol, max_iter),
+                   active, input_alphabet)
 
-    I(p) for input weights (p, 1-p) is concave with derivative
-    d1(p) - d2(p), where d_i is the information density of row i against the
-    output mixture; bisecting the derivative pins the optimum to machine
-    precision and the Kuhn-Tucker slack still certifies the gap.
+
+def _hbin(v: np.ndarray) -> np.ndarray:
+    """Binary entropy in bits, elementwise: minus u log2 u over u = v, 1 - v
+    with u > 0, subtracted in that order."""
+    out = np.zeros_like(v)
+    for u in (v, 1.0 - v):
+        out = out - np.where(u > 0, u * np.log2(np.where(u > 0, u, 1.0)), 0.0)
+    return out
+
+
+def _binary_output_capacity(w1: np.ndarray, w2: np.ndarray, tol: float):
+    """Capacity of K two-row, two-output channels at once.
+
+    ``w1`` and ``w2`` hold the first and second row of each channel, shape
+    (K, 2).  With rows (a, 1-a), (b, 1-b) and binary entropy H, stationarity
+    d I/d p = 0 reads log2((1-q)/q) = (H(a)-H(b))/(a-b) for the output
+    weight q; solve for q, map back to the input weight p on the first row
+    and clip to the simplex.  Identical rows get p = 1/2.  The information
+    densities at p certify the Kuhn-Tucker gap.  Returns arrays
+    ``(bits, p, iterations, converged, gap)``.
     """
+    a, b = w1[:, 0], w2[:, 0]
+    same = (w1 == w2).all(axis=1)
+    differ = ~same
+    z = (_hbin(a[differ]) - _hbin(b[differ])) / (a[differ] - b[differ])
+    # A scalar power per element: numpy's array power may differ from it in
+    # the last bit, while array log2 and exp2 match their scalar forms.
+    q = 1.0 / (1.0 + np.array([2.0 ** v for v in z], dtype=float))
+    p = np.full(len(a), 0.5)
+    clipped = (q - b[differ]) / (a[differ] - b[differ])
+    clipped = np.where(0.0 > clipped, 0.0, clipped)
+    p[differ] = np.where(1.0 < clipped, 1.0, clipped)
+
+    # Information density of each row against the output mixture at p.
+    mix = p[:, None] * w1 + (1.0 - p)[:, None] * w2
+    d = []
+    for w in (w1, w2):
+        on = w > 0
+        starved = on & (mix <= 0)
+        ok = on & ~starved
+        terms = np.where(ok, w * np.log2(np.where(ok, w, 1.0)
+                                        / np.where(ok, mix, 1.0)), 0.0)
+        d.append(np.where(starved.any(axis=1), np.inf,
+                          terms[:, 0] + terms[:, 1]))
+    lower = p * d[0] + (1.0 - p) * d[1]
+    gap = np.where(d[1] > d[0], d[1], d[0]) - lower
+    return (np.where(0.0 > lower, 0.0, lower), p, np.where(same, 0, 1),
+            gap <= max(tol, 1e-12), gap)
+
+
+def _two_row_capacity(w: np.ndarray, tol: float):
+    """Closed-form-style capacity for a two-input channel; a solver tuple.
+
+    Two outputs go through :func:`_binary_output_capacity`.  Otherwise I(p)
+    for input weights (p, 1-p) is concave with derivative d1(p) - d2(p),
+    where d_i is the information density of row i against the output
+    mixture; bisecting the derivative pins the optimum to machine precision
+    and the Kuhn-Tucker slack still certifies the gap.
+    """
+    if w.shape[1] == 2:
+        bits, p, iters, converged, gap = _binary_output_capacity(
+            w[:1], w[1:], tol)
+        return (float(bits[0]), np.array([p[0], 1.0 - p[0]]), int(iters[0]),
+                bool(converged[0]), float(gap[0]))
     w1, w2 = w[0], w[1]
 
     def densities(p):
@@ -124,36 +189,11 @@ def _two_row_capacity(w: np.ndarray, tol: float,
         d = densities(p)
         lower = p * d[0] + (1.0 - p) * d[1]
         gap = float(max(d) - lower)
-        full = np.zeros(input_alphabet.cardinality)
-        full[active] = (p, 1.0 - p)
-        return CapacityResult(
-            capacity_bits=max(float(lower), 0.0),
-            optimal_input=Pmf(input_alphabet, full),
-            iterations=iters,
-            converged=gap <= max(tol, 1e-12),
-            gap_bound=gap,
-        )
+        return (max(float(lower), 0.0), np.array([p, 1.0 - p]), iters,
+                gap <= max(tol, 1e-12), gap)
 
     if np.abs(w1 - w2).max() == 0:
         return result(0.5, 0)
-    if w.shape[1] == 2:
-        # Binary-output pair of rows: stationarity gives the optimal output
-        # mixture in closed form.  With rows (a, 1-a), (b, 1-b) and binary
-        # entropy H, d I/d p = 0 reads log2((1-q)/q) = (H(a)-H(b))/(a-b);
-        # solve for q, map back to the input weight, clip to the simplex.
-        a, b = float(w1[0]), float(w2[0])
-
-        def hbin(v):
-            out = 0.0
-            for u in (v, 1.0 - v):
-                if u > 0:
-                    out -= u * np.log2(u)
-            return out
-
-        z = (hbin(a) - hbin(b)) / (a - b)
-        q = 1.0 / (1.0 + 2.0 ** z)
-        p = min(max((q - b) / (a - b), 0.0), 1.0)
-        return result(p, 1)
     d = densities(0.0)
     if d[0] - d[1] <= 0:
         return result(0.0, 0)
@@ -177,6 +217,30 @@ def _two_row_capacity(w: np.ndarray, tol: float,
     return result(0.5 * (lo + hi), iters + 1)
 
 
+def _capacity(rows: np.ndarray, tol: float, max_iter: int):
+    """Solver tuple of one channel matrix; see :func:`channel_capacity`."""
+    rows = _stochastic(rows)
+    if rows.shape[0] == 2:
+        return _two_row_capacity(rows, tol)
+    live = np.flatnonzero(rows.sum(axis=0) > 0)
+    useless = (0.0, np.full(len(rows), 1.0 / len(rows)), 0, True, 0.0)
+    if live.size == 1:
+        return useless
+    if live.size == 2:
+        a = rows[:, live[0]]
+        pick = np.array([int(np.argmin(a)), int(np.argmax(a))])
+        if a[pick[0]] == a[pick[1]]:
+            return useless
+        bits, pair, iters, converged, gap = _two_row_capacity(
+            rows[pick][:, live], tol)
+        weights = np.zeros(len(rows))
+        weights[pick] = pair
+        return bits, weights, iters, converged, gap
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    return _blahut_arimoto_rows(rows, tol, max_iter)
+
+
 def channel_capacity(channel, tol: float = 1e-9,
                      max_iter: int = 10_000) -> CapacityResult:
     """Capacity with fast exact paths for small channels.
@@ -190,49 +254,93 @@ def channel_capacity(channel, tol: float = 1e-9,
     fast paths are tested to agree with it to well below ``tol``.
     """
     rows, active, input_alphabet = _channel_matrix(channel)
-    row_sums = rows.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-9):
-        raise DimensionMismatch("channel rows must be stochastic")
-    rows = rows / row_sums[:, None]
-    if rows.shape[0] == 2:
-        return _two_row_capacity(rows, tol, input_alphabet, active)
-    live = np.flatnonzero(rows.sum(axis=0) > 0)
-    if live.size == 1:
-        full = np.zeros(input_alphabet.cardinality)
-        full[active] = 1.0 / active.size
-        return CapacityResult(0.0, Pmf(input_alphabet, full), 0, True, 0.0)
-    if live.size == 2:
-        a = rows[:, live[0]]
-        pick = np.array([int(np.argmin(a)), int(np.argmax(a))])
-        if a[pick[0]] == a[pick[1]]:
-            full = np.zeros(input_alphabet.cardinality)
-            full[active] = 1.0 / active.size
-            return CapacityResult(0.0, Pmf(input_alphabet, full), 0, True, 0.0)
-        return _two_row_capacity(rows[pick][:, live], tol,
-                                 input_alphabet, active[pick])
-    return blahut_arimoto(channel, tol=tol, max_iter=max_iter)
+    return _result(_capacity(rows, tol, max_iter), active, input_alphabet)
 
 
-def _subchannel_capacities(counts, tol: float, max_iter: int):
-    """Weighted per-subchannel capacity of a (g, i, j) count tensor.
+def _subchannel_capacities(counts, tol: float, max_iter: int,
+                           solutions: bool = False):
+    """Weighted per-subchannel capacity of (..., g, i, j) count tensors.
 
-    Returns ``(bound_bits, per_subchannel)``; see :func:`te_capacity_bound`.
+    Returns ``(bound_bits, per_subchannel)``: the bound of each tensor over
+    the leading axes (a float for a single tensor) and, with ``solutions``,
+    a dict from (tensor index, g) to the solver tuple of every observed
+    subchannel.  Each subchannel takes the path :func:`channel_capacity`
+    takes for its active rows; the binary-output ones of the whole stack
+    (two rows with two outputs, or more rows with two live outputs and
+    distinct extremes) are solved in one batch, channels of zero capacity
+    need no solve, and the rest go one at a time.
     """
     counts = np.asarray(counts, dtype=float)
-    c_gi = counts.sum(axis=2)
-    c_g = c_gi.sum(axis=1)
-    n = c_g.sum()
-    if n <= 0:
+    lead = counts.shape[:-3]
+    c = counts.reshape((-1,) + counts.shape[-3:])
+    c_gi = c.sum(axis=3)
+    c_g = c_gi.sum(axis=2)
+    n = c_g.sum(axis=1)
+    if np.any(n <= 0):
         raise DimensionMismatch("empty count tensor")
-    per = {}
-    bound = 0.0
-    for g in np.flatnonzero(c_g > 0):
-        active = np.flatnonzero(c_gi[g] > 0)
-        rows = counts[g, active] / c_gi[g, active][:, None]
-        res = channel_capacity(rows, tol=tol, max_iter=max_iter)
-        per[int(g)] = res
-        bound += (c_g[g] / n) * res.capacity_bits
-    return float(bound), per
+    n_in, n_out = c.shape[2:]
+    on = c_gi > 0                       # active rows of each subchannel
+    rows = c / np.where(on, c_gi, 1.0)[..., None]
+    rows = rows / np.where(on, rows.sum(axis=3), 1.0)[..., None]
+    live = rows.sum(axis=2) > 0         # outputs some active row reaches
+    n_rows = on.sum(axis=2)
+    n_live = live.sum(axis=2)
+    first = np.argmax(live, axis=2)
+    last = n_out - 1 - np.argmax(live[..., ::-1], axis=2)
+    a = np.take_along_axis(rows, first[..., None, None], axis=3)[..., 0]
+    lo = np.argmin(np.where(on, a, np.inf), axis=2)
+    hi = np.argmax(np.where(on, a, -np.inf), axis=2)
+    distinct = (np.take_along_axis(a, lo[..., None], axis=2)
+                != np.take_along_axis(a, hi[..., None], axis=2))[..., 0]
+    two = n_rows == 2
+    observed = c_g > 0
+    binary = observed & np.where(
+        two, n_out == 2, (n_rows > 2) & (n_live == 2) & distinct)
+    useless = observed & ~two & (n_live <= 2) & ~binary
+    others = observed & ~binary & ~useless
+
+    # Binary-output channels: two rows in order, or the extreme rows.
+    r1 = np.where(two, np.argmax(on, axis=2), lo)
+    r2 = np.where(two, n_in - 1 - np.argmax(on[..., ::-1], axis=2), hi)
+    c1 = np.where(two, 0, first)
+    c2 = np.where(two, 1, last)
+    k, g = np.nonzero(binary)
+    w1 = np.stack([rows[k, g, r1[k, g], c1[k, g]],
+                   rows[k, g, r1[k, g], c2[k, g]]], axis=1)
+    w2 = np.stack([rows[k, g, r2[k, g], c1[k, g]],
+                   rows[k, g, r2[k, g], c2[k, g]]], axis=1)
+    solved = _binary_output_capacity(w1, w2, tol)
+    bits = np.zeros(c_g.shape)
+    bits[k, g] = solved[0]
+    rest = {}
+    for kk, gg in np.argwhere(others).tolist():
+        active = np.flatnonzero(on[kk, gg])
+        rest[kk, gg] = _capacity(c[kk, gg, active]
+                                 / c_gi[kk, gg, active][:, None],
+                                 tol, max_iter)
+        bits[kk, gg] = rest[kk, gg][0]
+
+    weights = c_g / n[:, None]
+    bound = np.zeros(len(c))
+    for gg in range(c.shape[1]):
+        bound = bound + weights[:, gg] * bits[:, gg]
+    bound = float(bound[0]) if not lead else bound.reshape(lead)
+    if not solutions:
+        return bound, None
+
+    # Solver tuples, their weights over each subchannel's active rows.
+    per = dict(rest)
+    for kk, gg in np.argwhere(useless).tolist():
+        m = int(n_rows[kk, gg])
+        per[kk, gg] = (0.0, np.full(m, 1.0 / m), 0, True, 0.0)
+    for idx, (kk, gg) in enumerate(zip(k.tolist(), g.tolist())):
+        position = np.cumsum(on[kk, gg]) - 1
+        weights = np.zeros(n_rows[kk, gg])
+        weights[position[r1[kk, gg]]] = solved[1][idx]
+        weights[position[r2[kk, gg]]] = 1.0 - solved[1][idx]
+        per[kk, gg] = (float(solved[0][idx]), weights, int(solved[2][idx]),
+                       bool(solved[3][idx]), float(solved[4][idx]))
+    return bound, dict(sorted(per.items()))
 
 
 def te_capacity_bound(est, tol: float = 1e-9, max_iter: int = 10_000):
@@ -241,12 +349,17 @@ def te_capacity_bound(est, tol: float = 1e-9, max_iter: int = 10_000):
     Returns ``(bound_bits, per_subchannel)`` where ``per_subchannel`` maps the
     destination-past index g to its CapacityResult.
     """
-    return _subchannel_capacities(est.counts, tol, max_iter)
+    bound, per = _subchannel_capacities(est.counts, tol, max_iter,
+                                        solutions=True)
+    return bound, {g: _result(solution) for (_, g), solution in per.items()}
 
 
 def capacity_bound_from_counts(counts: np.ndarray, tol: float = 1e-9,
-                               max_iter: int = 10_000) -> float:
-    """Weighted subchannel capacity straight from a (g, i, j) count tensor."""
+                               max_iter: int = 10_000):
+    """Weighted subchannel capacity straight from a (g, i, j) count tensor.
+
+    Leading axes, if any, index a stack of tensors and give one bound each.
+    """
     return _subchannel_capacities(counts, tol, max_iter)[0]
 
 

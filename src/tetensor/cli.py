@@ -250,6 +250,8 @@ def cmd_capacity(args) -> int:
             row = [float(v) for v in line.replace(",", " ").split()]
         except ValueError:
             raise DataError(f"row {idx}: not numeric: {line!r}") from None
+        if not np.isfinite(row).all():
+            raise DataError(f"row {idx} has a non-finite entry: {line!r}")
         if abs(sum(row) - 1.0) > 1e-9 or min(row) < 0:
             raise DataError(f"row {idx} is not stochastic: {line!r}")
         rows.append(row)

@@ -8,6 +8,7 @@ significance module, not by smoothing.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,25 @@ def _lag_code(codes: np.ndarray, t: np.ndarray, lags, card: int) -> np.ndarray:
     return out
 
 
+def _check_cells(n_cells: int, n_tensors: int = 1) -> None:
+    """Refuse count tensors whose float64 cells exceed physical memory.
+
+    Raised before anything of that size is allocated: ``n_tensors`` dense
+    tensors of ``n_cells`` cells each are held at once.
+    """
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return              # the platform does not report its memory
+    need = 8 * n_cells * n_tensors
+    if need > memory:
+        raise DimensionMismatch(
+            f"count tensor of {n_cells} cells ({n_tensors} held at once, "
+            f"{need} bytes) exceeds the {memory} bytes of physical memory; "
+            f"use fewer symbols or shorter embeddings"
+        )
+
+
 def _counts_from_codes(xc: np.ndarray, yc: np.ndarray, kx: int, ky: int,
                        spec: EmbeddingSpec) -> np.ndarray:
     """Count tensor over (y_past, x_past, y_now) from integer-coded series."""
@@ -118,11 +138,12 @@ def _counts_from_codes(xc: np.ndarray, yc: np.ndarray, kx: int, ky: int,
             f"m_len={spec.m_len}, tau={spec.tau}; got {len(yc)}",
             required_length=required,
         )
+    n_g = ky ** spec.ell
+    n_i = kx ** spec.m_len
+    _check_cells(n_g * n_i * ky)
     t = np.arange(spec.alignment_loss, len(yc) - spec.tail_loss)
     g = _lag_code(yc, t, range(1, spec.ell + 1), ky)
     i = _lag_code(xc, t, range(spec.tau, spec.tau + spec.m_len), kx)
-    n_g = ky ** spec.ell
-    n_i = kx ** spec.m_len
     flat = (g * n_i + i) * ky + yc[t]
     counts = np.bincount(flat, minlength=n_g * n_i * ky)
     return counts.reshape(n_g, n_i, ky).astype(float)
@@ -232,20 +253,28 @@ def transfer_entropy_direct(counts: np.ndarray) -> float:
     return max(total, 0.0)
 
 
-def te_from_counts(counts: np.ndarray) -> float:
-    """Direct TE formula, vectorized over the whole (g, i, j) count tensor."""
+def te_from_counts(counts: np.ndarray):
+    """Direct TE formula, vectorized over the whole (g, i, j) count tensor.
+
+    Leading axes, if any, index a stack of tensors and give one TE each.
+    """
     counts = np.asarray(counts, dtype=float)
-    n = counts.sum()
-    if n <= 0:
+    lead = counts.shape[:-3]
+    c = counts.reshape((-1,) + counts.shape[-3:])
+    n = c.reshape(len(c), -1).sum(axis=1)
+    if np.any(n <= 0):
         raise InsufficientData("empty count tensor")
-    p = counts / n
-    p_gi = p.sum(axis=2)
-    p_g = p_gi.sum(axis=1)
-    p_gj = p.sum(axis=1)
+    p = c / n[:, None, None, None]
+    p_gi = p.sum(axis=3)
+    p_g = p_gi.sum(axis=2)
+    p_gj = p.sum(axis=2)
     mask = p > 0
-    num = np.where(mask, p * p_g[:, None, None], 1.0)
-    den = np.where(mask, p_gi[:, :, None] * p_gj[:, None, :], 1.0)
-    return max(float(np.sum(np.where(mask, p * np.log2(num / den), 0.0))), 0.0)
+    num = np.where(mask, p * p_g[:, :, None, None], 1.0)
+    den = np.where(mask, p_gi[..., None] * p_gj[:, :, None, :], 1.0)
+    te = np.where(mask, p * np.log2(num / den), 0.0).reshape(len(c), -1)
+    te = te.sum(axis=1)
+    te = np.where(0.0 > te, 0.0, te)
+    return float(te[0]) if not lead else te.reshape(lead)
 
 
 @dataclass(frozen=True)
@@ -256,7 +285,10 @@ class DelayScanResult:
 
 
 def count_scorer(objective: str, tol: float = 1e-9):
-    """The statistic a named objective computes from a (g, i, j) count tensor."""
+    """The statistic a named objective computes from a (g, i, j) count tensor.
+
+    The scorer also takes a stack (..., g, i, j) and scores every tensor.
+    """
     if objective == "te":
         return te_from_counts
     if objective == "capacity_bound":
@@ -281,17 +313,18 @@ def delay_scan(x, y, spec_base: EmbeddingSpec, tau_range, objective="te",
     xc = _encode(x, x_alpha)
     yc = _encode(y, y_alpha)
     kx, ky = x_alpha.cardinality, y_alpha.cardinality
-    curve = {}
+    _check_cells(ky ** spec_base.ell * kx ** spec_base.m_len * ky, len(taus))
+    tensors = {}
     skipped = []
     for tau in taus:
         spec = spec_base.with_tau(tau)
         try:
-            counts = _counts_from_codes(xc, yc, kx, ky, spec)
+            tensors[tau] = _counts_from_codes(xc, yc, kx, ky, spec)
         except InsufficientData:
             skipped.append(tau)
-            continue
-        curve[tau] = score(counts)
-    if not curve:
+    if not tensors:
         raise InsufficientData("no delay in tau_range fits the data length")
+    values = score(np.stack(list(tensors.values()))).tolist()
+    curve = dict(zip(tensors, values))
     tau_star = max(curve, key=lambda t: (curve[t], -t))
     return DelayScanResult(tau_star=tau_star, curve=curve, skipped=tuple(skipped))

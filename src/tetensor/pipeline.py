@@ -23,10 +23,10 @@ from .estimation import (
 )
 from .significance import (
     SurrogateConfig,
+    _null,
+    _ScanEvaluator,
     acausal_mirror,
-    null_distribution,
     p_value,
-    scan_statistic,
 )
 from .structure import RelationEstimate, TriadConfig, TriadVerdict, classify_triad
 
@@ -72,12 +72,12 @@ def analyze_pair(x, y, source: str, destination: str,
     est = estimate_subchannels(embed(x, y, spec))
     te = transfer_entropy(est)
     bound, _ = te_capacity_bound(est, tol=tol)
-    ac_range = acausal_mirror(tau_range) or None
-    observed = scan_statistic(x, y, spec_base, objective, tau_range=tau_range,
-                              acausal_range=ac_range, tol=tol)
-    null = null_distribution(x, y, spec_base, objective, cfg,
-                             tau_range=tau_range, acausal_range=ac_range,
-                             tol=tol)
+    # One evaluator gives the observed margin and its null, exactly as
+    # scan_statistic and null_distribution would.
+    evaluator = _ScanEvaluator(x, y, spec_base, objective, tau_range,
+                               acausal_mirror(tau_range) or None, tol)
+    observed = float(evaluator.shifted([0])[0])
+    null = _null(evaluator, cfg)
     relation = RelationEstimate(
         source=source,
         destination=destination,

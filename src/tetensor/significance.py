@@ -14,6 +14,7 @@ import numpy as np
 from .core import InsufficientData
 from .estimation import (
     EmbeddingSpec,
+    _check_cells,
     _encode,
     _lag_code,
     count_scorer,
@@ -42,19 +43,11 @@ class SurrogateConfig:
             )
 
 
-def _surrogate_source(x: np.ndarray, rng: np.random.Generator,
-                      cfg: SurrogateConfig, min_shift: int) -> np.ndarray:
-    n = len(x)
-    if cfg.method == "circular-shift":
-        if n <= 2 * min_shift:
-            raise InsufficientData(
-                f"series of length {n} too short for shifts >= {min_shift}"
-            )
-        offset = int(rng.integers(min_shift, n - min_shift))
-        return np.roll(x, offset)
+def _block_permutation(x: np.ndarray, rng: np.random.Generator,
+                       block_length: int) -> np.ndarray:
     blocks = [
-        x[start:start + cfg.block_length]
-        for start in range(0, n, cfg.block_length)
+        x[start:start + block_length]
+        for start in range(0, len(x), block_length)
     ]
     order = rng.permutation(len(blocks))
     return np.concatenate([blocks[b] for b in order])
@@ -76,10 +69,14 @@ class _ScanEvaluator:
     With acausal delays supplied the value is the causal margin
     ``max over causal - max over acausal``.  Named statistics use a shared
     sample range covering every requested alignment, so the destination part
-    of the count index is built once and each (source, delay) evaluation
-    costs one slice plus one bincount.  The same evaluator scores both the
-    real source and its surrogates, keeping the two exchangeable under
-    independence.
+    of the count index is built once.  The source is encoded once as a
+    circular source-vector code: the source circularly shifted by ``o`` meets,
+    at delay ``tau``, that code read from lag ``(loss - tau - o) mod n``, so
+    each (shift, delay) costs one addition into a reused index buffer plus
+    one bincount, with no roll or re-encode per surrogate.  The count
+    tensors of all delays of one source are scored as one stack.  The same
+    evaluator scores both the real source and its surrogates, keeping the
+    two exchangeable under independence.
     """
 
     def __init__(self, x, y, spec: EmbeddingSpec, statistic,
@@ -116,40 +113,88 @@ class _ScanEvaluator:
                 required_length=loss + tail + 1,
             )
         self.loss = loss
+        self.n_g = self.ky ** spec.ell
+        self.n_i = self.kx ** spec.m_len
+        self.n_cells = self.n_g * self.n_i * self.ky
+        _check_cells(self.n_cells, len(all_taus))
         t = np.arange(loss, len(self.yc) - tail)
         self.n_samples = len(t)
         g = _lag_code(self.yc, t, range(1, spec.ell + 1), self.ky)
-        self.n_g = self.ky ** spec.ell
-        self.n_i = self.kx ** spec.m_len
         self.base = g * (self.n_i * self.ky) + self.yc[t]
-        self.n_cells = self.n_g * self.n_i * self.ky
+        del t, g
+        self.code = self._circular_code(self.xc)
 
-    def _fast_value(self, pc, tau):
-        m1 = self.spec.m_len - 1
-        start = self.loss - tau - m1
-        i = pc[start:start + self.n_samples]
-        counts = np.bincount(self.base + i, minlength=self.n_cells)
-        return self.score(
-            counts.reshape(self.n_g, self.n_i, self.ky).astype(float)
-        )
+    def _circular_code(self, xs: np.ndarray) -> np.ndarray:
+        """Source-vector code of ``xs`` at every time point, read circularly
+        (lag ``k`` of time ``t`` is ``xs[(t - k) mod n]``, most recent lag
+        first), pre-scaled by the output radix."""
+        cc = xs.astype(np.int64)
+        for lag in range(1, self.spec.m_len):
+            cc = cc * self.kx + np.roll(xs, lag)
+        cc *= self.ky
+        return cc
+
+    def _margin(self, values) -> float:
+        """Best causal value, less the best acausal one if any."""
+        values = list(values)
+        best = max(values[:len(self.taus)])
+        if self.ac_taus:
+            best -= max(values[len(self.taus):])
+        return best
+
+    def _shifted_values(self, code: np.ndarray, offsets) -> np.ndarray:
+        """Margin of the source with circular ``code`` shifted by each offset:
+        at delay ``tau`` sample ``s`` meets the code at
+        ``(s + loss - tau - offset) mod n``, and all delays are scored as
+        one stack."""
+        n, size = len(code), self.n_samples
+        index = np.empty(size, dtype=np.int64)
+        values = []
+        for o in offsets:
+            tensors = []
+            for tau in self.taus + self.ac_taus:
+                lag = (self.loss - tau - o) % n
+                head = min(n - lag, size)
+                np.add(self.base[:head], code[lag:lag + head],
+                       out=index[:head])
+                np.add(self.base[head:], code[:size - head],
+                       out=index[head:])
+                tensors.append(np.bincount(index, minlength=self.n_cells))
+            counts = np.stack(tensors).astype(float)
+            values.append(self._margin(self.score(
+                counts.reshape(-1, self.n_g, self.n_i, self.ky)).tolist()))
+        return np.array(values)
 
     def __call__(self, xs: np.ndarray) -> float:
         if self.score is None:
-            def value(tau):
-                return self.statistic(xs, self.yc, self.spec.with_tau(tau))
-        else:
-            m1 = self.spec.m_len - 1
-            # Source-vector code at every time point, indexed by its most
-            # recent lag and pre-scaled by the output radix.
-            pc = _lag_code(xs, np.arange(m1, len(xs)),
-                           range(0, self.spec.m_len), self.kx) * self.ky
+            return self._margin(self.statistic(xs, self.yc,
+                                               self.spec.with_tau(tau))
+                                for tau in self.taus + self.ac_taus)
+        return self._shifted_values(self._circular_code(xs), [0])[0]
 
-            def value(tau):
-                return self._fast_value(pc, tau)
-        best = max(value(tau) for tau in self.taus)
-        if self.ac_taus:
-            best -= max(value(tau) for tau in self.ac_taus)
-        return best
+    def shifted(self, offsets) -> np.ndarray:
+        """Statistic of each circular shift ``np.roll(self.xc, offset)``."""
+        if self.score is None:
+            return np.array([self(np.roll(self.xc, o)) for o in offsets])
+        return self._shifted_values(self.code, offsets)
+
+
+def _null(evaluator: _ScanEvaluator, cfg: SurrogateConfig) -> np.ndarray:
+    """The evaluator's statistic over ``cfg``'s surrogates of its source."""
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_surrogates)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    xc = evaluator.xc
+    if cfg.method == "block-permutation":
+        return np.array([
+            evaluator(_block_permutation(xc, rng, cfg.block_length))
+            for rng in rngs
+        ])
+    n, lo = len(xc), evaluator.min_shift
+    if n <= 2 * lo:
+        raise InsufficientData(
+            f"series of length {n} too short for shifts >= {lo}"
+        )
+    return evaluator.shifted([int(rng.integers(lo, n - lo)) for rng in rngs])
 
 
 def scan_statistic(x, y, spec: EmbeddingSpec, statistic, tau_range=None,
@@ -162,7 +207,7 @@ def scan_statistic(x, y, spec: EmbeddingSpec, statistic, tau_range=None,
     """
     evaluator = _ScanEvaluator(x, y, spec, statistic, tau_range,
                                acausal_range, tol)
-    return float(evaluator(evaluator.xc))
+    return float(evaluator.shifted([0])[0])
 
 
 def null_distribution(x, y, spec: EmbeddingSpec, statistic,
@@ -180,15 +225,8 @@ def null_distribution(x, y, spec: EmbeddingSpec, statistic,
     coupling peaks at a causal delay, while dependence inherited from shared
     history peaks at an acausal alignment, so the margin separates the two.
     """
-    evaluator = _ScanEvaluator(x, y, spec, statistic, tau_range,
-                               acausal_range, tol)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_surrogates)
-    values = np.empty(cfg.n_surrogates)
-    for idx, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        xs = _surrogate_source(evaluator.xc, rng, cfg, evaluator.min_shift)
-        values[idx] = evaluator(xs)
-    return values
+    return _null(_ScanEvaluator(x, y, spec, statistic, tau_range,
+                                acausal_range, tol), cfg)
 
 
 def p_value(observed: float, null) -> float:

@@ -226,6 +226,26 @@ class TestSweepEpsilon:
                 assert int(row[f"tau_{label}"]) == rel.tau_star
 
 
+class TestCountTensorSizeGuard:
+    def test_thousand_symbols_refused_before_allocation(self, tmp_path,
+                                                        capsys):
+        # 1000 symbols with --m 1 ask for 1000 * 1000**2 * 1000 = 10**12
+        # cells; the guard must refuse them with a data error.
+        src = tmp_path / "wide.csv"
+        rng = np.random.default_rng(0)
+        with open(src, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["A", "B"])
+            w.writerows(zip(rng.permutation(2000) % 1000,
+                            rng.permutation(2000) % 1000))
+        code = run_cli(["analyze", "--input", str(src), "--pre-quantized",
+                        "--m", "1", "--tau-max", "2", "--surrogates", "19",
+                        "--alpha", "0.1",
+                        "--output", str(tmp_path / "r.json")])
+        assert code == 3
+        assert "1000000000000 cells" in capsys.readouterr().err
+
+
 class TestCapacity:
     def test_bsc_capacity_output(self, tmp_path, capsys):
         mat = tmp_path / "bsc.txt"
@@ -243,6 +263,16 @@ class TestCapacity:
         mat.write_text("0.9 0.2\n0.1 0.9\n")
         code = run_cli(["capacity", "--input", str(mat)])
         assert code == 3
+
+    @pytest.mark.parametrize("rows", ["nan 0.5\n0.5 0.5\n",
+                                      "0.5 0.5\ninf -inf\n"])
+    def test_non_finite_entry_is_data_error(self, tmp_path, capsys, rows):
+        mat = tmp_path / "bad.txt"
+        mat.write_text(rows)
+        code = run_cli(["capacity", "--input", str(mat)])
+        assert code == 3
+        bad = 0 if rows.startswith("nan") else 1
+        assert f"row {bad} has a non-finite entry" in capsys.readouterr().err
 
     def test_nonconvergence_exit_code(self, tmp_path):
         mat = tmp_path / "slow.txt"

@@ -1,8 +1,10 @@
 """Unit tests for surrogate nulls, the causal margin, and rank p-values."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tetensor.core import InsufficientData
+from tetensor.core import DimensionMismatch, InsufficientData
 from tetensor.estimation import EmbeddingSpec
 from tetensor.significance import (
     SurrogateConfig,
@@ -43,6 +45,26 @@ class TestPValue:
         assert p_value(0.5, null) == (1 + 0) / 5
         with pytest.raises(ValueError):
             p_value(0.1, [])
+
+
+def _trimmed_reference(ev, xc):
+    """The evaluator's statistic by per-delay embedding of source ``xc``,
+    each delay trimmed to the evaluator's shared sample range."""
+    from tetensor.estimation import _counts_from_codes, te_from_counts
+
+    spec, taus, ac = ev.spec, ev.taus, ev.ac_taus
+    loss = max(spec.with_tau(t).alignment_loss for t in taus + ac)
+    tail = max(spec.with_tau(t).tail_loss for t in taus + ac)
+
+    def val(tau):
+        s = spec.with_tau(tau)
+        head = loss - s.alignment_loss
+        back = tail - s.tail_loss
+        sl = slice(head, len(xc) - back if back else None)
+        c = _counts_from_codes(xc[sl], ev.yc[sl], ev.kx, ev.ky, s)
+        return te_from_counts(c)
+
+    return max(val(t) for t in taus) - max(val(t) for t in ac)
 
 
 def _coupled_pair(n=8000, seed=0, flip=0.1):
@@ -99,37 +121,69 @@ class TestScanStatisticAndNull:
     def test_fast_path_matches_reference_path(self):
         # The named-statistic fast evaluator must agree with per-delay
         # embedding over the same shared sample range.
-        from tetensor.capacity import capacity_bound_from_counts
-        from tetensor.estimation import (
-            _counts_from_codes,
-            te_from_counts,
-        )
-
         rng = np.random.default_rng(3)
         x = rng.integers(0, 3, 3000)
         y = np.roll(x, 2)
         y[rng.random(3000) < 0.3] = rng.integers(0, 3)
         spec = EmbeddingSpec(ell=1, m_len=2, tau=1)
         taus = [1, 2, 3, 4]
-        ac = acausal_mirror(taus)
-        ev = _ScanEvaluator(x, y, spec, "te", taus, ac)
+        ev = _ScanEvaluator(x, y, spec, "te", taus, acausal_mirror(taus))
+        assert abs(ev(ev.xc) - _trimmed_reference(ev, ev.xc)) < 1e-12
 
-        def reference(xc):
-            loss = max(spec.with_tau(t).alignment_loss for t in list(taus) + list(ac))
-            tail = max(spec.with_tau(t).tail_loss for t in list(taus) + list(ac))
+    def test_null_is_statistic_of_rolled_sources(self):
+        # Each circular-shift surrogate is read as a lag of the source code;
+        # it must score as the rolled, re-encoded source would.
+        x, y = _coupled_pair(n=3000, seed=9)
+        spec = EmbeddingSpec(m_len=2)
+        taus = [1, 2, 3, 4]
+        cfg = SurrogateConfig(n_surrogates=19, alpha=0.1, seed=5)
+        for statistic in ("te", "capacity_bound"):
+            ev = _ScanEvaluator(x, y, spec, statistic, taus,
+                                acausal_mirror(taus))
+            lo, n = ev.min_shift, len(ev.xc)
+            offsets = [
+                int(np.random.default_rng(seed).integers(lo, n - lo))
+                for seed in np.random.SeedSequence(5).spawn(19)
+            ]
+            null = null_distribution(x, y, spec, statistic, cfg,
+                                     tau_range=taus,
+                                     acausal_range=acausal_mirror(taus))
+            rolled = [ev(np.roll(ev.xc, o)) for o in offsets]
+            assert np.array_equal(null, rolled)
 
-            def val(tau):
-                # Trim so every delay sees exactly the shared range.
-                s = spec.with_tau(tau)
-                head = loss - s.alignment_loss
-                back = tail - s.tail_loss
-                sl = slice(head, len(xc) - back if back else None)
-                c = _counts_from_codes(xc[sl], ev.yc[sl], ev.kx, ev.ky, s)
-                return te_from_counts(c)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), m_len=st.integers(1, 3),
+           ell=st.integers(1, 2), k=st.integers(2, 3),
+           statistic=st.sampled_from(["te", "capacity_bound"]),
+           data=st.data())
+    def test_shift_reads_equal_rolled_sources(self, seed, m_len, ell, k,
+                                              statistic, data):
+        rng = np.random.default_rng(seed)
+        n = 400
+        x = rng.integers(0, k, n)
+        y = np.roll(x, 1)
+        y[rng.random(n) < 0.4] = rng.integers(0, k)
+        taus = sorted(data.draw(st.sets(st.integers(1, 6), min_size=1,
+                                        max_size=4)))
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(ell=ell, m_len=m_len),
+                            statistic, taus, acausal_mirror(taus) or None)
+        o = data.draw(st.integers(ev.min_shift, n - ev.min_shift - 1))
+        assert np.array_equal(ev.shifted([o]), [ev(np.roll(ev.xc, o))])
+        assert ev.shifted([0])[0] == ev(ev.xc)
+        if statistic == "te" and acausal_mirror(taus):
+            assert abs(ev.shifted([0])[0]
+                       - _trimmed_reference(ev, ev.xc)) < 1e-12
 
-            return max(val(t) for t in taus) - max(val(t) for t in ac)
+    def test_count_tensor_size_guard(self):
+        # 1000 symbols, m_len = 2: 10**12 cells, refused before allocation.
+        from tetensor.estimation import _counts_from_codes
 
-        assert abs(ev(ev.xc) - reference(ev.xc)) < 1e-12
+        x = np.arange(3000) % 1000
+        spec = EmbeddingSpec(m_len=2)
+        with pytest.raises(DimensionMismatch, match="1000000000000 cells"):
+            _counts_from_codes(x, x, 1000, 1000, spec)
+        with pytest.raises(DimensionMismatch, match="1000000000000 cells"):
+            _ScanEvaluator(x, x, spec, "te", [1, 2])
 
     def test_observed_uses_same_machinery_as_null(self):
         x, y = _coupled_pair(n=2000, seed=4)

@@ -76,6 +76,39 @@ class TestGenerateLattice:
         assert np.abs(data[:, 0] - data[:, 1]).max() < 1e-9
 
 
+def _rolled_lattice(cfg):
+    """Lattice stepped the plain way: np.roll for the ring, slices for the
+    free boundary."""
+    from tetensor.simulate import _ulam
+
+    state = np.random.default_rng(cfg.seed).uniform(-2.0, 2.0, cfg.n_maps)
+    for fp in (1.0, -2.0):
+        state[state == fp] += 1e-9
+    out = np.empty((cfg.n_samples, cfg.n_maps))
+    eps = cfg.epsilon
+    for step in range(cfg.transient + cfg.n_samples):
+        if cfg.boundary == "periodic":
+            state = _ulam(eps * np.roll(state, 1) + (1.0 - eps) * state)
+        else:
+            nxt = np.empty_like(state)
+            nxt[0] = _ulam(state[0])
+            nxt[1:] = _ulam(eps * state[:-1] + (1.0 - eps) * state[1:])
+            state = nxt
+        if step >= cfg.transient:
+            out[step - cfg.transient] = state
+    return out
+
+
+class TestLatticeStep:
+    @pytest.mark.parametrize("boundary", ["free-first-map", "periodic"])
+    def test_one_update_matches_rolled_stepping(self, boundary):
+        for maps, eps, seed in ((2, 0.5, 1), (7, 0.18, 2), (30, 0.93, 3),
+                                (5, 0.0, 4), (4, 1.0, 5)):
+            cfg = LatticeConfig(n_maps=maps, epsilon=eps, n_samples=400,
+                                transient=100, seed=seed, boundary=boundary)
+            assert np.array_equal(generate_lattice(cfg), _rolled_lattice(cfg))
+
+
 class TestQuantizeExtrema:
     def test_hand_pattern(self):
         x = np.array([0.0, 1.0, 0.5, 0.2, 0.9, 0.9, 0.1])
