@@ -6,6 +6,7 @@ three series the triad classifier is run on top of the pairwise results.
 """
 from __future__ import annotations
 
+import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -31,6 +32,8 @@ from .significance import (
 from .structure import RelationEstimate, TriadConfig, TriadVerdict, classify_triad
 
 SCHEMA_VERSION = 1
+
+log = logging.getLogger("tetensor")
 
 
 def max_workers() -> int:
@@ -71,7 +74,14 @@ def analyze_pair(x, y, source: str, destination: str,
     spec = spec_base.with_tau(scan.tau_star)
     est = estimate_subchannels(embed(x, y, spec))
     te = transfer_entropy(est)
-    bound, _ = te_capacity_bound(est, tol=tol)
+    bound, per = te_capacity_bound(est, tol=tol)
+    unconverged = sum(not res.converged for res in per.values())
+    if unconverged:
+        log.warning(
+            "%s->%s: capacity bound at tau*=%d has %d of %d subchannels "
+            "unconverged; largest certified gap %.3g bits",
+            source, destination, scan.tau_star, unconverged, len(per),
+            max(res.gap_bound for res in per.values()))
     # One evaluator gives the observed margin and its null, exactly as
     # scan_statistic and null_distribution would.
     evaluator = _ScanEvaluator(x, y, spec_base, objective, tau_range,

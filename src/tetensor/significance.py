@@ -63,6 +63,13 @@ def acausal_mirror(tau_range) -> tuple:
     return tuple(sorted({-int(t) for t in tau_range if int(t) >= 2}))
 
 
+# Count cells scored per call of the evaluator's scorer (16 KiB of float64):
+# shifts are stacked up to this size, so that small tensors share one
+# vectorized score.  The scorer's intermediates grow with the stack; at
+# 8192 cells they raised the peak RSS of a two-thread sweep by about 2 MB.
+_CHUNK_CELLS = 2048
+
+
 class _ScanEvaluator:
     """Max-over-delays statistic for a fixed destination series.
 
@@ -74,7 +81,7 @@ class _ScanEvaluator:
     at delay ``tau``, that code read from lag ``(loss - tau - o) mod n``, so
     each (shift, delay) costs one addition into a reused index buffer plus
     one bincount, with no roll or re-encode per surrogate.  The count
-    tensors of all delays of one source are scored as one stack.  The same
+    tensors of all delays of several shifts are scored as one stack.  The same
     evaluator scores both the real source and its surrogates, keeping the
     two exchangeable under independence.
     """
@@ -145,24 +152,31 @@ class _ScanEvaluator:
     def _shifted_values(self, code: np.ndarray, offsets) -> np.ndarray:
         """Margin of the source with circular ``code`` shifted by each offset:
         at delay ``tau`` sample ``s`` meets the code at
-        ``(s + loss - tau - offset) mod n``, and all delays are scored as
-        one stack."""
+        ``(s + loss - tau - offset) mod n``.  The count tensors of all delays
+        of up to ``_CHUNK_CELLS // (delays x cells)`` shifts (at least one)
+        are scored as one stack."""
         n, size = len(code), self.n_samples
+        taus = self.taus + self.ac_taus
+        chunk = max(1, _CHUNK_CELLS // (len(taus) * self.n_cells))
         index = np.empty(size, dtype=np.int64)
         values = []
-        for o in offsets:
+        for start in range(0, len(offsets), chunk):
             tensors = []
-            for tau in self.taus + self.ac_taus:
-                lag = (self.loss - tau - o) % n
-                head = min(n - lag, size)
-                np.add(self.base[:head], code[lag:lag + head],
-                       out=index[:head])
-                np.add(self.base[head:], code[:size - head],
-                       out=index[head:])
-                tensors.append(np.bincount(index, minlength=self.n_cells))
+            for o in offsets[start:start + chunk]:
+                for tau in taus:
+                    lag = (self.loss - tau - o) % n
+                    head = min(n - lag, size)
+                    np.add(self.base[:head], code[lag:lag + head],
+                           out=index[:head])
+                    np.add(self.base[head:], code[:size - head],
+                           out=index[head:])
+                    tensors.append(np.bincount(index,
+                                               minlength=self.n_cells))
             counts = np.stack(tensors).astype(float)
-            values.append(self._margin(self.score(
-                counts.reshape(-1, self.n_g, self.n_i, self.ky)).tolist()))
+            scores = self.score(counts.reshape(-1, self.n_g, self.n_i,
+                                               self.ky))
+            values.extend(self._margin(row) for row in
+                          scores.reshape(-1, len(taus)).tolist())
         return np.array(values)
 
     def __call__(self, xs: np.ndarray) -> float:

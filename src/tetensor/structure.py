@@ -17,6 +17,7 @@ import numpy as np
 from .core import DimensionMismatch, MissingSupport, TransitionTensor
 from .estimation import (
     SubchannelEstimate,
+    _check_cells,
     _encode,
     _lag_code,
     _rows,
@@ -346,6 +347,7 @@ def estimate_triad_tensors(a, b, c, tau1: int, tau2: int,
 
     n_g = kb ** ell
     n_h = kc ** ell
+    _check_cells(n_h * ka * n_g * kb * kc)
     flat = (((h * ka + i) * n_g + g) * kb + j) * kc + k
     counts = np.bincount(
         flat, minlength=n_h * ka * n_g * kb * kc

@@ -185,3 +185,36 @@ class TestTeCapacityBound:
         bound, est = relation_capacity(x, y, EmbeddingSpec())
         assert bound > 0.95
         assert est.n_effective == 3999
+
+
+class TestUnconvergedBoundWarning:
+    @staticmethod
+    def _analyze(tol):
+        from tetensor.pipeline import analyze_pair
+        from tetensor.significance import SurrogateConfig
+
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 3, 2000)
+        y = np.where(rng.random(2000) < 0.97, rng.integers(0, 3, 2000),
+                     np.roll(x, 1))
+        cfg = SurrogateConfig(n_surrogates=19, alpha=0.05, seed=1)
+        return analyze_pair(x, y, "X", "Y", EmbeddingSpec(m_len=1), [1],
+                            surrogates=cfg, tol=tol)
+
+    def test_tight_tol_logs_one_warning(self, caplog):
+        with caplog.at_level("WARNING", logger="tetensor"):
+            res = self._analyze(1e-12)
+        per = te_capacity_bound(res.relation.tensors, tol=1e-12)[1]
+        stuck = [r for r in per.values() if not r.converged]
+        assert stuck
+        [record] = caplog.records
+        assert record.name == "tetensor" and record.levelname == "WARNING"
+        gap = max(r.gap_bound for r in per.values())
+        assert record.getMessage() == (
+            f"X->Y: capacity bound at tau*=1 has {len(stuck)} of {len(per)} "
+            f"subchannels unconverged; largest certified gap {gap:.3g} bits")
+
+    def test_converged_bound_logs_nothing(self, caplog):
+        with caplog.at_level("WARNING", logger="tetensor"):
+            self._analyze(1e-3)
+        assert not caplog.records

@@ -1,14 +1,22 @@
-"""Property tests for the batched TE and capacity-bound scorers.
+"""Property tests for the batched TE, capacity-bound and Blahut-Arimoto
+solvers.
 
 A stack of count tensors (L, g, i, j) must score exactly as its tensors do
 one at a time, the bound must agree with Blahut-Arimoto, and TE must lie
-between zero and the bound whatever the symbol labels.
+between zero and the bound whatever the symbol labels.  A batch of channels
+must solve exactly as its channels do one at a time, and agree with the
+textbook matrix-product form of the iteration.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetensor.capacity import blahut_arimoto, capacity_bound_from_counts
+from tetensor.capacity import (
+    _blahut_arimoto_batch,
+    _blahut_arimoto_rows,
+    blahut_arimoto,
+    capacity_bound_from_counts,
+)
 from tetensor.estimation import te_from_counts
 
 
@@ -76,3 +84,77 @@ class TestBatchedScorers:
         assert abs(te_from_counts(relabelled) - te) < 1e-12
         assert abs(capacity_bound_from_counts(relabelled, tol=1e-12)
                    - bound) < 1e-9
+
+
+@st.composite
+def channel_batches(draw):
+    """(K, n, m) stochastic stacks with 3-5 inputs and outputs, random
+    inactive (zero) rows and outputs no active row reaches."""
+    k = draw(st.integers(1, 6))
+    n, m = draw(st.integers(3, 5)), draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random((k, n, m)) ** draw(st.sampled_from([1.0, 8.0]))
+    w[rng.random((k, n, m)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    dead = rng.random((k, m)) < 0.25
+    dead[:, 0] = False
+    w[np.broadcast_to(dead[:, None, :], w.shape)] = 0.0
+    w[..., 0] += (w.sum(axis=2) == 0)
+    on = rng.random((k, n)) < 0.8
+    on[np.arange(k), rng.integers(n, size=k)] = True
+    w = np.where(on[..., None], w / w.sum(axis=2, keepdims=True), 0.0)
+    return w, on
+
+
+def _matmul_blahut_arimoto(rows, tol, max_iter):
+    """The iteration in matrix-product form, as it ran before the batched
+    solver: BLAS products in place of index-ordered sums."""
+    w = rows[:, rows.sum(axis=0) > 0]
+    wlogw = np.sum(np.where(w > 0, w * np.log2(np.where(w > 0, w, 1.0)),
+                            0.0), axis=1)
+    r = np.full(len(w), 1.0 / len(w))
+    for iterations in range(1, max_iter + 1):
+        q = np.maximum(r @ w, 1e-300)
+        d = wlogw - w @ np.log2(q)
+        upper = d.max()
+        lower = r @ d
+        if upper - lower <= tol:
+            return max(float(lower), 0.0), r, iterations, True
+        r = r * np.exp2(d - upper)
+        r = r / r.sum()
+    return max(float(lower), 0.0), r, iterations, False
+
+
+class TestBatchedBlahutArimoto:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(batch=channel_batches(), max_iter=st.sampled_from([40, 10_000]),
+           tol=st.sampled_from([1e-6, 1e-9]))
+    def test_batch_equals_single_calls(self, batch, max_iter, tol):
+        w, on = batch
+        bits, weights, iters, converged, gap = _blahut_arimoto_batch(
+            w, on, tol, max_iter)
+        assert not weights[~on].any()
+        for k in range(len(w)):
+            one = _blahut_arimoto_rows(w[k, on[k]], tol, max_iter)
+            assert np.array_equal(bits[k], one[0])
+            assert np.array_equal(weights[k, on[k]], one[1])
+            assert (iters[k], converged[k]) == (one[2], one[3])
+            assert np.array_equal(gap[k], one[4])
+
+    def test_agrees_with_matrix_product_form(self):
+        rng = np.random.default_rng(12)
+        # Near-independent 3x3 channels run to max_iter; the random ones
+        # stop early.
+        base = rng.dirichlet(np.ones(3), size=6)
+        near = base[:, None, :] + 1e-3 * rng.random((6, 3, 3))
+        spread = rng.random((6, 3, 3)) ** 4
+        w = np.concatenate([near, spread])
+        w = w / w.sum(axis=2, keepdims=True)
+        bits, _, iters, converged, _ = _blahut_arimoto_batch(
+            w, np.ones((12, 3), dtype=bool), 1e-9, 10_000)
+        reference = [_matmul_blahut_arimoto(c, 1e-9, 10_000) for c in w]
+        assert not converged[:6].any() and converged[6:].all()
+        assert (iters[6:] < 10_000).all()
+        for k, (ref_bits, _, ref_iters, ref_converged) in enumerate(
+                reference):
+            assert abs(bits[k] - ref_bits) <= 1e-12
+            assert (iters[k], converged[k]) == (ref_iters, ref_converged)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from tetensor.core import DimensionMismatch, InsufficientData
 from tetensor.estimation import EmbeddingSpec
 from tetensor.significance import (
+    _CHUNK_CELLS,
     SurrogateConfig,
     _ScanEvaluator,
     acausal_mirror,
@@ -239,6 +240,36 @@ class TestScanStatisticAndNull:
         null = null_distribution(x, y, EmbeddingSpec(), "te", cfg,
                                  tau_range=[1, 2])
         assert len(null) == 19 and np.all(null >= 0)
+
+
+class TestChunkedShifts:
+    """Shifts scored in chunks must equal the same shifts scored alone."""
+
+    def test_binary_chunks_equal_single_shifts(self):
+        x, y = _coupled_pair(n=3000, seed=8)
+        taus = list(range(1, 21))
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(), "capacity_bound", taus,
+                            acausal_mirror(taus))
+        per_shift = len(ev.taus + ev.ac_taus) * ev.n_cells
+        assert per_shift == 39 * 8
+        offsets = np.random.default_rng(1).integers(
+            ev.min_shift, len(x) - ev.min_shift, 60)
+        assert len(offsets) > 2 * (_CHUNK_CELLS // per_shift)
+        assert np.array_equal(ev.shifted(offsets),
+                              [ev.shifted([o])[0] for o in offsets])
+
+    def test_three_symbol_chunks_equal_single_shifts(self):
+        # 3-symbol channels go through the batched Blahut-Arimoto solver.
+        rng = np.random.default_rng(9)
+        x = rng.integers(0, 3, 2000)
+        y = np.where(rng.random(2000) < 0.3, rng.integers(0, 3, 2000),
+                     np.roll(x, 1))
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(), "capacity_bound", [1, 2],
+                            tol=1e-6)
+        assert ev.n_cells == 27
+        offsets = rng.integers(ev.min_shift, len(x) - ev.min_shift, 8)
+        assert np.array_equal(ev.shifted(offsets),
+                              [ev.shifted([o])[0] for o in offsets])
 
 
 class TestCalibration:

@@ -233,6 +233,17 @@ class TestTriadTensors:
         diff = np.abs(t.a_bar.probs - t.a_bar_summed.probs)
         assert diff[mask].max() < 0.02
 
+    def test_table_size_guard(self, monkeypatch):
+        # Three 200-symbol series with ell=1 ask for 200**5 = 3.2e11 cells
+        # of the (h, i, g, j, k) table; refused before any count is made.
+        def no_counts(*args, **kwargs):
+            raise AssertionError("count table allocated")
+
+        monkeypatch.setattr(np, "bincount", no_counts)
+        x = np.arange(400) % 200
+        with pytest.raises(DimensionMismatch, match="320000000000 cells"):
+            estimate_triad_tensors(x, x, x, 1, 1)
+
     def test_noisy_chain_residual_ordering(self):
         data = generate_triad("chain", noise=0.1, n=100_000, seed=1)
         t = estimate_triad_tensors(data.series["X"], data.series["Y"],
