@@ -13,7 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import capacity_bound_from_counts
+from .capacity import (
+    _result,
+    _subchannel_capacities,
+    capacity_bound_from_counts,
+)
 from .core import (
     Alphabet,
     DimensionMismatch,
@@ -90,6 +94,10 @@ def infer_alphabet(*series) -> Alphabet:
 
 def _encode(series, alphabet: Alphabet) -> np.ndarray:
     arr = np.asarray(series)
+    k = alphabet.cardinality
+    if (arr.dtype == np.int64 and alphabet.symbols == tuple(range(k))
+            and (arr.size == 0 or 0 <= arr.min() <= arr.max() < k)):
+        return arr          # already its own codes: no copy
     symbols = np.asarray(alphabet.symbols)
     order = np.argsort(symbols)
     pos = np.searchsorted(symbols[order], arr)
@@ -282,6 +290,9 @@ class DelayScanResult:
     tau_star: int
     curve: dict            # tau -> objective value (bits)
     skipped: tuple = ()    # taus omitted because the series were too short
+    # For objective "capacity_bound": tau*'s per-subchannel CapacityResult
+    # (g -> result), as te_capacity_bound returns it for the tau* tensor.
+    capacities: dict | None = None
 
 
 def count_scorer(objective: str, tol: float = 1e-9):
@@ -324,7 +335,19 @@ def delay_scan(x, y, spec_base: EmbeddingSpec, tau_range, objective="te",
             skipped.append(tau)
     if not tensors:
         raise InsufficientData("no delay in tau_range fits the data length")
-    values = score(np.stack(list(tensors.values()))).tolist()
-    curve = dict(zip(tensors, values))
+    stack = np.stack(list(tensors.values()))
+    if objective == "capacity_bound":
+        # The scorer's own call, keeping the solver tuples of every subchannel.
+        values, solved = _subchannel_capacities(stack, tol, 10_000,
+                                                solutions=True)
+    else:
+        values, solved = score(stack), None
+    curve = dict(zip(tensors, values.tolist()))
     tau_star = max(curve, key=lambda t: (curve[t], -t))
-    return DelayScanResult(tau_star=tau_star, curve=curve, skipped=tuple(skipped))
+    capacities = None
+    if solved is not None:
+        star = list(tensors).index(tau_star)
+        capacities = {g: _result(solution)
+                      for (k, g), solution in solved.items() if k == star}
+    return DelayScanResult(tau_star=tau_star, curve=curve,
+                           skipped=tuple(skipped), capacities=capacities)

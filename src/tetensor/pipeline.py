@@ -26,6 +26,7 @@ from .significance import (
     SurrogateConfig,
     _null,
     _ScanEvaluator,
+    _shift_offsets,
     acausal_mirror,
     p_value,
 )
@@ -74,7 +75,10 @@ def analyze_pair(x, y, source: str, destination: str,
     spec = spec_base.with_tau(scan.tau_star)
     est = estimate_subchannels(embed(x, y, spec))
     te = transfer_entropy(est)
-    bound, per = te_capacity_bound(est, tol=tol)
+    if scan.capacities is not None:     # the scan has solved tau*'s bound
+        bound, per = scan.curve[scan.tau_star], scan.capacities
+    else:
+        bound, per = te_capacity_bound(est, tol=tol)
     unconverged = sum(not res.converged for res in per.values())
     if unconverged:
         log.warning(
@@ -83,11 +87,16 @@ def analyze_pair(x, y, source: str, destination: str,
             source, destination, scan.tau_star, unconverged, len(per),
             max(res.gap_bound for res in per.values()))
     # One evaluator gives the observed margin and its null, exactly as
-    # scan_statistic and null_distribution would.
+    # scan_statistic and null_distribution would; under circular shifts the
+    # observed margin is shift 0 of the null's own stack.
     evaluator = _ScanEvaluator(x, y, spec_base, objective, tau_range,
                                acausal_mirror(tau_range) or None, tol)
-    observed = float(evaluator.shifted([0])[0])
-    null = _null(evaluator, cfg)
+    if cfg.method == "circular-shift":
+        values = evaluator.shifted([0, *_shift_offsets(evaluator, cfg)])
+        observed, null = float(values[0]), values[1:]
+    else:
+        observed = float(evaluator.shifted([0])[0])
+        null = _null(evaluator, cfg)
     relation = RelationEstimate(
         source=source,
         destination=destination,

@@ -4,9 +4,17 @@ The default surrogate scheme circularly shifts the source series by a random
 offset, which preserves the source's autocorrelation while destroying any
 cross-coupling at the delays under test.  Seeds are spawned per surrogate from
 the base seed, so results do not depend on evaluation order.
+
+A surrogate shifted by ``o`` meets the destination at delay ``tau`` as lag
+``L = (loss - tau - o) mod n`` of one circular source code, so the null is a
+set of lag reads.  The count tensors of those reads come from one of two
+counters, both exact: an add-and-bincount per read, or FFT cross-correlations
+that count every lag of one (destination cell, source code) pair at once.
+A cost rule (:func:`_fft_is_cheaper`) picks the cheaper one per call.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +77,58 @@ def acausal_mirror(tau_range) -> tuple:
 # 8192 cells they raised the peak RSS of a two-thread sweep by about 2 MB.
 _CHUNK_CELLS = 2048
 
+# The counting cost rule.  Add-and-bincount reads every sample once per lag;
+# the FFT counter makes 2 + 8 n_i transforms of length M ~ n per destination
+# cell (see _ScanEvaluator._fft_counts), whatever the number of lags.
+# Measured on a 2-core x86-64 host (Python 3.11, numpy 2.4.6) with both
+# counters on the 7 800 lags of a 100k-sample binary lattice pair (16 cells):
+# 2.2 ns per sample per lag for bincount, and 0.92 ns per M log2 M point of
+# each transform for the FFT counter, its gathers included.
+_NS_PER_SAMPLE_READ = 2.2
+_NS_PER_FFT_POINT = 0.92
+# The FFT counter holds the int64 counts of every lag it reads at once (the
+# bincount counter one chunk of them); past this many cells it is not used.
+_TABLE_CELLS = 2 ** 18
+# One FFT counter runs at a time per process, so a job holds one set of its
+# transform buffers however many pairs its worker threads analyze at once:
+# two concurrent counters raised the peak RSS of a two-thread 100k lattice
+# pair job by about 2 MB over one (58.7 against 56.8 MB, medians of five).
+_FFT_LOCK = threading.Lock()
+
+
+def _fft_length(m: int) -> int:
+    """Smallest 2^a 3^b 5^c >= m.  numpy's FFT is slow at lengths with a large
+    prime factor: an rfft plus irfft at the n = 99 998 = 2 * 49 999 of a
+    quantized 100k series took 32 ms, against 1.8 ms at 100 000 (same host
+    as the cost rule's constants)."""
+    best = 1 << (m - 1).bit_length()
+    p2 = 1
+    while p2 < best:
+        p3 = p2
+        while p3 < best:
+            p5 = p3
+            while p5 < m:
+                p5 *= 5
+            best = min(best, p5)
+            p3 *= 3
+        p2 *= 2
+    return best
+
+
+def _fft_is_cheaper(n_dest: int, n_i: int, reads: int, n: int,
+                    n_samples: int) -> bool:
+    """The cost rule: count ``reads`` lags of an ``n``-sample circular source
+    against ``n_samples`` destination samples with ``n_dest`` (g, j) cells
+    and ``n_i`` source codes by FFT, rather than by bincount, when its
+    transforms cost less than reading every sample once per lag and its
+    table of counts fits in ``_TABLE_CELLS``."""
+    if reads * n_dest * n_i > _TABLE_CELLS:
+        return False
+    length = _fft_length(-(-n_samples // 2) + -(-n // 2) - 1)
+    fft_ns = (n_dest * (2 + 8 * n_i) * length * np.log2(length)
+              * _NS_PER_FFT_POINT)
+    return fft_ns < reads * n_samples * _NS_PER_SAMPLE_READ
+
 
 class _ScanEvaluator:
     """Max-over-delays statistic for a fixed destination series.
@@ -76,14 +136,27 @@ class _ScanEvaluator:
     With acausal delays supplied the value is the causal margin
     ``max over causal - max over acausal``.  Named statistics use a shared
     sample range covering every requested alignment, so the destination part
-    of the count index is built once.  The source is encoded once as a
-    circular source-vector code: the source circularly shifted by ``o`` meets,
-    at delay ``tau``, that code read from lag ``(loss - tau - o) mod n``, so
-    each (shift, delay) costs one addition into a reused index buffer plus
-    one bincount, with no roll or re-encode per surrogate.  The count
-    tensors of all delays of several shifts are scored as one stack.  The same
-    evaluator scores both the real source and its surrogates, keeping the
-    two exchangeable under independence.
+    of the count index (``base``: cell ``(g, j)`` at each sample) is built
+    once.  The source is encoded once as a circular source-vector code: the
+    source circularly shifted by ``o`` meets, at delay ``tau``, that code read
+    from lag ``(loss - tau - o) mod n``, with no roll or re-encode per
+    surrogate.
+
+    The count tensors of the lags read come from one of two counters:
+
+    * :meth:`_bincounts` adds the code at each lag into a reused index buffer
+      and bincounts it, so its cost grows with lags x samples.  It is the
+      reference, and it counts arbitrary sources (``__call__``, block
+      permutations).
+    * :meth:`_fft_counts` counts cell ``(g, i, j)`` at every lag at once, as
+      the circular cross-correlation of the indicators ``[base == (g, j)]``
+      and ``[code == i]``; its cost grows with cells x n log n and not with
+      the number of lags.  It counts the evaluator's own source only.
+
+    :meth:`shifted` picks the counter by :func:`_fft_is_cheaper`.  The count
+    tensors of all delays of several shifts are scored as one stack.  The
+    same evaluator scores both the real source and its surrogates, keeping
+    the two exchangeable under independence.
     """
 
     def __init__(self, x, y, spec: EmbeddingSpec, statistic,
@@ -149,34 +222,124 @@ class _ScanEvaluator:
             best -= max(values[len(self.taus):])
         return best
 
-    def _shifted_values(self, code: np.ndarray, offsets) -> np.ndarray:
-        """Margin of the source with circular ``code`` shifted by each offset:
-        at delay ``tau`` sample ``s`` meets the code at
-        ``(s + loss - tau - offset) mod n``.  The count tensors of all delays
-        of up to ``_CHUNK_CELLS // (delays x cells)`` shifts (at least one)
-        are scored as one stack."""
+    def _lags(self, offsets) -> list:
+        """Code lag of each (offset, delay), delays varying fastest: at delay
+        ``tau`` sample ``s`` meets the code at ``(s + loss - tau - offset)
+        mod n``."""
+        n = len(self.xc)
+        return [(self.loss - tau - int(o)) % n for o in offsets
+                for tau in self.taus + self.ac_taus]
+
+    def _bincounts(self, code: np.ndarray, lags) -> np.ndarray:
+        """Flat count tensor of circular ``code`` read at each lag, one
+        addition into an index buffer plus one bincount per lag."""
         n, size = len(code), self.n_samples
-        taus = self.taus + self.ac_taus
-        chunk = max(1, _CHUNK_CELLS // (len(taus) * self.n_cells))
         index = np.empty(size, dtype=np.int64)
+        counts = np.empty((len(lags), self.n_cells), dtype=np.int64)
+        for row, lag in enumerate(lags):
+            head = min(n - lag, size)
+            np.add(self.base[:head], code[lag:lag + head], out=index[:head])
+            np.add(self.base[head:], code[:size - head], out=index[head:])
+            counts[row] = np.bincount(index, minlength=self.n_cells)
+        return counts
+
+    def _fft_counts(self, lags) -> np.ndarray:
+        """Flat count tensor of the evaluator's own code at each lag, from
+        cross-correlations of each destination cell with each source code.
+
+        With ``a = [base == (g, j)]`` (n_samples long) and ``b = [code == i]``
+        (n long), the count at lag ``L`` is ``sum_s a[s] b[(s + L) mod n]``.
+        ``a`` and ``b`` are each cut in two halves, and each pair of halves
+        is linearly correlated by FFT, zero-padded to a smooth length
+        ``M >= |a half| + |b half| - 1`` (about n) so that it does not wrap.
+        Half ``p`` of ``a`` (from ``s_p``) meets half ``q`` of ``b`` (from
+        ``k_q``) at lag ``L`` at correlation offset ``e = (s_p + L - k_q) mod
+        n`` or ``e - n``, whichever lies in the pair's range.  One spectrum
+        of a destination half is held at a time and each product is dropped
+        once its lags are read, so no table of all n lags, and no array of
+        more than about n floats, is ever built; unsplit, the transforms
+        would be twice as long and raise the peak RSS of a lattice pair job.
+        The rounded counts must be within 0.25 of the floats and every
+        tensor must hold all n_samples samples; otherwise this raises rather
+        than return wrong counts.
+        """
+        n, size = len(self.code), self.n_samples
+        half_a, half_b = -(-size // 2), -(-n // 2)
+        length = _fft_length(half_a + half_b - 1)
+        a_halves = [(s, min(size, s + half_a) - s)
+                    for s in range(0, size, half_a)]
+        b_halves = [(k, min(n, k + half_b) - k)
+                    for k in range(0, n, half_b)]
+        lags = np.asarray(lags, dtype=np.int64)
+        # Where each lag reads the correlation of halves p and q, if at all.
+        reads_at = {}
+        for p, (s, a_len) in enumerate(a_halves):
+            for q, (k, b_len) in enumerate(b_halves):
+                e = (s + lags - k) % n
+                e = np.where(e < b_len, e, e - n)
+                reads_at[p, q] = (e % length, e > -a_len)
+        counts = np.empty((len(lags), self.n_g, self.n_i, self.ky),
+                          dtype=np.int64)
+        values = np.empty((self.n_i, len(lags)))
+        residual = 0.0
+        with _FFT_LOCK:
+            for g in range(self.n_g):
+                for j in range(self.ky):
+                    cell = g * self.n_i * self.ky + j
+                    values[:] = 0.0
+                    for p, (s, a_len) in enumerate(a_halves):
+                        a_spectrum = np.fft.rfft(
+                            self.base[s:s + a_len] == cell, length)
+                        np.conjugate(a_spectrum, out=a_spectrum)
+                        for i in range(self.n_i):
+                            for q, (k, b_len) in enumerate(b_halves):
+                                product = np.fft.rfft(
+                                    self.code[k:k + b_len] == i * self.ky,
+                                    length)
+                                product *= a_spectrum
+                                lin = np.fft.irfft(product, length)
+                                del product
+                                index, hit = reads_at[p, q]
+                                values[i] += np.where(hit, lin[index], 0.0)
+                                del lin
+                        del a_spectrum
+                    rounded = np.rint(values)
+                    residual = max(residual, float(
+                        np.max(np.abs(values - rounded), initial=0.0)))
+                    counts[:, g, :, j] = rounded.T
+        counts = counts.reshape(len(lags), self.n_cells)
+        if not residual < 0.25:
+            raise FloatingPointError(
+                f"FFT lag counts are not integers: residual {residual:.3g} "
+                f"at transform length {length}")
+        totals = counts.sum(axis=1)
+        if np.any(totals != size):
+            worst = int(totals[np.argmax(np.abs(totals - size))])
+            raise FloatingPointError(
+                f"FFT lag counts sum to {worst}, not {size} samples "
+                f"(rounding residual {residual:.3g})")
+        return counts
+
+    def _shifted_values(self, code: np.ndarray, offsets,
+                        fft: bool = False) -> np.ndarray:
+        """Margin of the source with circular ``code`` shifted by each offset.
+
+        The counts come from ``_fft_counts`` (``code`` must then be the
+        evaluator's own) or from ``_bincounts``, one chunk at a time.  The
+        count tensors of all delays of up to ``_CHUNK_CELLS // (delays x
+        cells)`` shifts (at least one) are scored as one stack."""
+        n_taus = len(self.taus + self.ac_taus)
+        lags = self._lags(offsets)
+        chunk = n_taus * max(1, _CHUNK_CELLS // (n_taus * self.n_cells))
+        table = self._fft_counts(lags) if fft else None
         values = []
-        for start in range(0, len(offsets), chunk):
-            tensors = []
-            for o in offsets[start:start + chunk]:
-                for tau in taus:
-                    lag = (self.loss - tau - o) % n
-                    head = min(n - lag, size)
-                    np.add(self.base[:head], code[lag:lag + head],
-                           out=index[:head])
-                    np.add(self.base[head:], code[:size - head],
-                           out=index[head:])
-                    tensors.append(np.bincount(index,
-                                               minlength=self.n_cells))
-            counts = np.stack(tensors).astype(float)
+        for start in range(0, len(lags), chunk):
+            counts = (table[start:start + chunk] if fft else
+                      self._bincounts(code, lags[start:start + chunk]))
             scores = self.score(counts.reshape(-1, self.n_g, self.n_i,
-                                               self.ky))
+                                               self.ky).astype(float))
             values.extend(self._margin(row) for row in
-                          scores.reshape(-1, len(taus)).tolist())
+                          scores.reshape(-1, n_taus).tolist())
         return np.array(values)
 
     def __call__(self, xs: np.ndarray) -> float:
@@ -190,25 +353,37 @@ class _ScanEvaluator:
         """Statistic of each circular shift ``np.roll(self.xc, offset)``."""
         if self.score is None:
             return np.array([self(np.roll(self.xc, o)) for o in offsets])
-        return self._shifted_values(self.code, offsets)
+        reads = len(offsets) * len(self.taus + self.ac_taus)
+        fft = _fft_is_cheaper(self.n_g * self.ky, self.n_i, reads,
+                              len(self.xc), self.n_samples)
+        return self._shifted_values(self.code, offsets, fft)
 
 
-def _null(evaluator: _ScanEvaluator, cfg: SurrogateConfig) -> np.ndarray:
-    """The evaluator's statistic over ``cfg``'s surrogates of its source."""
+def _rngs(cfg: SurrogateConfig) -> list:
+    """One generator per surrogate, spawned from ``cfg.seed``."""
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_surrogates)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    xc = evaluator.xc
-    if cfg.method == "block-permutation":
-        return np.array([
-            evaluator(_block_permutation(xc, rng, cfg.block_length))
-            for rng in rngs
-        ])
-    n, lo = len(xc), evaluator.min_shift
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
+def _shift_offsets(evaluator: _ScanEvaluator, cfg: SurrogateConfig) -> list:
+    """``cfg``'s circular-shift offsets of the evaluator's source, one per
+    surrogate, each at least ``min_shift`` from either end."""
+    n, lo = len(evaluator.xc), evaluator.min_shift
     if n <= 2 * lo:
         raise InsufficientData(
             f"series of length {n} too short for shifts >= {lo}"
         )
-    return evaluator.shifted([int(rng.integers(lo, n - lo)) for rng in rngs])
+    return [int(rng.integers(lo, n - lo)) for rng in _rngs(cfg)]
+
+
+def _null(evaluator: _ScanEvaluator, cfg: SurrogateConfig) -> np.ndarray:
+    """The evaluator's statistic over ``cfg``'s surrogates of its source."""
+    if cfg.method == "block-permutation":
+        return np.array([
+            evaluator(_block_permutation(evaluator.xc, rng, cfg.block_length))
+            for rng in _rngs(cfg)
+        ])
+    return evaluator.shifted(_shift_offsets(evaluator, cfg))
 
 
 def scan_statistic(x, y, spec: EmbeddingSpec, statistic, tau_range=None,

@@ -94,6 +94,21 @@ class TestEmbed:
             embed([0, 2, 0, 1], [0, 1, 0, 1], EmbeddingSpec(),
                   x_alphabet=Alphabet((0, 1)))
 
+    def test_codes_encode_to_themselves_without_copy(self):
+        from tetensor.core import Alphabet
+        from tetensor.estimation import _encode
+
+        codes = np.array([2, 0, 1, 1, 0], dtype=np.int64)
+        alphabet = Alphabet((0, 1, 2))
+        assert _encode(codes, alphabet) is codes
+        # Other dtypes and labels take the general path to the same codes.
+        assert np.array_equal(_encode(codes.astype(np.int32), alphabet),
+                              codes)
+        assert np.array_equal(_encode(codes + 5, Alphabet((5, 6, 7))), codes)
+        for bad in ([0, 3, 1], [0, -1, 1]):
+            with pytest.raises(DimensionMismatch):
+                _encode(np.array(bad, dtype=np.int64), alphabet)
+
 
 def _copy_pair(n=4000, seed=0, flip=0.0):
     """Source plus destination that copies the source with delay 1."""
@@ -191,6 +206,31 @@ class TestDelayScan:
         res = delay_scan(x, y, EmbeddingSpec(), range(1, 6),
                          objective="capacity_bound")
         assert res.tau_star == 2
+
+    def test_capacity_objective_keeps_tau_star_solutions(self):
+        # The scan's own solve of the tau* tensor is the capacity bound that
+        # te_capacity_bound gives for it, subchannel by subchannel.
+        from tetensor.capacity import te_capacity_bound
+
+        rng = np.random.default_rng(6)
+        x = rng.integers(0, 3, 4000)
+        y = np.roll(x, 2)
+        y[rng.random(4000) < 0.4] = rng.integers(0, 3)
+        spec = EmbeddingSpec()
+        res = delay_scan(x, y, spec, range(1, 5), objective="capacity_bound",
+                         tol=1e-6)
+        est = estimate_subchannels(embed(x, y, spec.with_tau(res.tau_star)))
+        bound, per = te_capacity_bound(est, tol=1e-6)
+        assert res.tau_star == 2 and res.curve[2] == bound
+        assert res.capacities.keys() == per.keys()
+        for g, result in per.items():
+            mine = res.capacities[g]
+            assert mine.capacity_bits == result.capacity_bits
+            assert np.array_equal(mine.optimal_input.probs,
+                                  result.optimal_input.probs)
+            assert (mine.iterations, mine.converged, mine.gap_bound) == (
+                result.iterations, result.converged, result.gap_bound)
+        assert delay_scan(x, y, spec, range(1, 5)).capacities is None
 
     def test_skips_infeasible_delays(self):
         x = [0, 1, 0, 1, 0, 1]

@@ -1,5 +1,5 @@
 """Property tests for the batched TE, capacity-bound and Blahut-Arimoto
-solvers.
+solvers, and for the subchannel decomposition of TE.
 
 A stack of count tensors (L, g, i, j) must score exactly as its tensors do
 one at a time, the bound must agree with Blahut-Arimoto, and TE must lie
@@ -17,7 +17,15 @@ from tetensor.capacity import (
     blahut_arimoto,
     capacity_bound_from_counts,
 )
-from tetensor.estimation import te_from_counts
+from tetensor.core import Alphabet
+from tetensor.estimation import (
+    EmbeddedDataset,
+    EmbeddingSpec,
+    estimate_subchannels,
+    te_from_counts,
+    transfer_entropy,
+    transfer_entropy_direct,
+)
 
 
 @st.composite
@@ -84,6 +92,27 @@ class TestBatchedScorers:
         assert abs(te_from_counts(relabelled) - te) < 1e-12
         assert abs(capacity_bound_from_counts(relabelled, tol=1e-12)
                    - bound) < 1e-9
+
+
+class TestDecompositionIdentity:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(stack=count_stacks(max_len=1))
+    def test_subchannel_sum_equals_direct_te(self, stack):
+        # TE as the weighted sum of per-subchannel mutual informations
+        # equals the direct triple sum, zero rows and columns included.
+        counts = stack[0]
+        n_g, n_i, n_j = counts.shape
+        data = EmbeddedDataset(
+            counts=counts,
+            past_alphabet=Alphabet(tuple(range(n_g))),
+            source_alphabet=Alphabet(tuple(range(n_i))),
+            output_alphabet=Alphabet(tuple(range(n_j))),
+            spec=EmbeddingSpec(),
+            n_effective=int(counts.sum()),
+        )
+        te = transfer_entropy(estimate_subchannels(data))
+        assert abs(te - transfer_entropy_direct(counts)) < 1e-12
+        assert abs(te - te_from_counts(counts)) < 1e-12
 
 
 @st.composite

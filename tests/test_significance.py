@@ -8,7 +8,10 @@ from tetensor.core import DimensionMismatch, InsufficientData
 from tetensor.estimation import EmbeddingSpec
 from tetensor.significance import (
     _CHUNK_CELLS,
+    _TABLE_CELLS,
     SurrogateConfig,
+    _fft_is_cheaper,
+    _fft_length,
     _ScanEvaluator,
     acausal_mirror,
     null_distribution,
@@ -270,6 +273,106 @@ class TestChunkedShifts:
         offsets = rng.integers(ev.min_shift, len(x) - ev.min_shift, 8)
         assert np.array_equal(ev.shifted(offsets),
                               [ev.shifted([o])[0] for o in offsets])
+
+
+class TestFftLagCounts:
+    """The FFT counter must count every lag exactly as the bincount
+    reference does, and the cost rule must send each workload shape to the
+    cheaper counter."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 3),
+           ell=st.integers(1, 2), m_len=st.integers(1, 3),
+           n=st.integers(50, 3000), acausal=st.booleans(), data=st.data())
+    def test_fft_counts_equal_bincounts(self, seed, k, ell, m_len, n,
+                                        acausal, data):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, k, n)
+        y = np.roll(x, 1)
+        y[rng.random(n) < 0.4] = rng.integers(0, k)
+        taus = sorted(data.draw(st.sets(st.integers(1, 6), min_size=1,
+                                        max_size=4)))
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(ell=ell, m_len=m_len), "te",
+                            taus, (acausal_mirror(taus) or None)
+                            if acausal else None)
+        lo = ev.min_shift
+        offsets = [0, lo, n - lo - 1] + data.draw(
+            st.lists(st.integers(lo, n - lo - 1), max_size=5))
+        lags = ev._lags(offsets)
+        assert np.array_equal(ev._fft_counts(lags),
+                              ev._bincounts(ev.code, lags))
+
+    @pytest.mark.parametrize("statistic", ["te", "capacity_bound"])
+    def test_shifted_values_equal_across_counters(self, statistic):
+        x, y = _coupled_pair(n=2500, seed=11)
+        taus = list(range(1, 6))
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(m_len=2), statistic, taus,
+                            acausal_mirror(taus))
+        offsets = [0, *np.random.default_rng(2).integers(
+            ev.min_shift, len(x) - ev.min_shift, 40).tolist()]
+        fft = ev._shifted_values(ev.code, offsets, fft=True)
+        assert np.array_equal(
+            fft, ev._shifted_values(ev.code, offsets, fft=False))
+        assert np.array_equal(fft, ev.shifted(offsets))
+
+    def test_cost_rule_picks_counter_by_workload_shape(self):
+        # multisymbol: 3 symbols, ell 1, m_len 1 (27 cells, 9 destination
+        # cells), 19 surrogates plus the observed shift at one delay.
+        assert not _fft_is_cheaper(9, 3, 20, 20_000, 19_999)
+        # lattice_pair: binary, ell 1, m_len 2 (16 cells, 4 destination
+        # cells), 200 shifts over 20 causal and 19 acausal delays.
+        assert _fft_is_cheaper(4, 4, 200 * 39, 99_998, 99_957)
+        # Past the table cap the bincount counter, which holds one chunk.
+        reads = _TABLE_CELLS // 16 + 1
+        assert not _fft_is_cheaper(4, 4, reads, 99_998, 99_957)
+
+    def test_fft_length_is_smallest_smooth_length(self):
+        def smooth(v):
+            for prime in (2, 3, 5):
+                while v % prime == 0:
+                    v //= prime
+            return v == 1
+
+        for m in range(1, 2000):
+            length = _fft_length(m)
+            assert length >= m and smooth(length)
+            assert not any(smooth(v) for v in range(m, length))
+        assert _fft_length(99_998 + 99_957) == 200_000
+
+    @pytest.mark.parametrize("shift, message", [(0.4, "residual 0.4"),
+                                                (1.0, "not 497 samples")])
+    def test_bad_transform_raises(self, monkeypatch, shift, message):
+        # A counter that is off must fail loudly, never round silently.
+        x, y = _coupled_pair(n=500, seed=12)
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(), "te", [1, 2, 3])
+        assert ev.n_samples == 497
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft",
+                            lambda *a, **k: irfft(*a, **k) + shift)
+        with pytest.raises(FloatingPointError, match=message):
+            ev._fft_counts(ev._lags([0, 10, 20]))
+
+
+class TestObservedInNullStack:
+    @pytest.mark.parametrize("objective", ["te", "capacity_bound"])
+    def test_analyze_pair_margin_and_null_unchanged(self, objective):
+        # analyze_pair reads the observed margin as shift 0 of the null's
+        # stack; it must equal the separately computed margin and null.
+        from tetensor.pipeline import analyze_pair
+
+        x, y = _coupled_pair(n=3000, seed=13, flip=0.3)
+        spec = EmbeddingSpec(m_len=2)
+        taus = range(1, 6)
+        cfg = SurrogateConfig(n_surrogates=39, alpha=0.05, seed=21)
+        res = analyze_pair(x, y, "X", "Y", spec, taus, objective=objective,
+                           surrogates=cfg)
+        obs = scan_statistic(x, y, spec, objective, tau_range=taus,
+                             acausal_range=acausal_mirror(taus))
+        null = null_distribution(x, y, spec, objective, cfg, tau_range=taus,
+                                 acausal_range=acausal_mirror(taus))
+        assert res.causal_margin == obs
+        assert np.array_equal(res.null, null)
+        assert res.relation.p_value == p_value(obs, null)
 
 
 class TestCalibration:
