@@ -36,7 +36,6 @@ from .capacity import (
     blahut_arimoto,
     capacity_bound_from_counts,
     channel_capacity,
-    relation_capacity,
     te_capacity_bound,
 )
 from .structure import (

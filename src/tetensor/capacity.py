@@ -416,12 +416,3 @@ def capacity_bound_from_counts(counts: np.ndarray, tol: float = 1e-9,
     Leading axes, if any, index a stack of tensors and give one bound each.
     """
     return _subchannel_capacities(counts, tol, max_iter)[0]
-
-
-def relation_capacity(x, y, spec, tol: float = 1e-9):
-    """Estimate subchannels for one directed pair and bound its TE."""
-    from .estimation import embed, estimate_subchannels
-
-    est = estimate_subchannels(embed(x, y, spec))
-    bound, _ = te_capacity_bound(est, tol=tol)
-    return bound, est

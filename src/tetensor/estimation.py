@@ -5,6 +5,10 @@ A directed relation ``x -> y`` is summarized by per-sample triples
 (most recent first) and ``y_past`` spans lags ``1 .. ell``.  All probabilities
 are maximum-likelihood frequencies; finite-sample noise is handled by the
 significance module, not by smoothing.
+
+Every count tensor of a pair comes from one builder, :class:`_PairCounts`,
+shared by :func:`embed`, :func:`delay_scan` and the significance module's
+evaluator; ``_counts_from_codes`` is the per-delay reference of the tests.
 """
 from __future__ import annotations
 
@@ -157,29 +161,113 @@ def _counts_from_codes(xc: np.ndarray, yc: np.ndarray, kx: int, ky: int,
     return counts.reshape(n_g, n_i, ky).astype(float)
 
 
+class _PairCounts:
+    """The one count builder of a directed pair ``x -> y``.
+
+    Both series are encoded once.  ``base[t - ell]`` is the destination cell
+    ``(g, j)`` of each t in [ell, n), pre-scaled so that adding a source code
+    gives the flat (g, i, j) index; ``code`` is the source-vector code at
+    every time point, read circularly.  Delay ``tau`` reads ``code`` at lag
+    ``alignment_loss - tau`` over its window [alignment_loss, n - tail_loss),
+    and a circular shift of the source is a further lag.  Each read is one
+    addition into an index buffer shared by one call's reads and one bincount.
+    """
+
+    def __init__(self, x, y, spec: EmbeddingSpec,
+                 x_alphabet: Alphabet | None = None,
+                 y_alphabet: Alphabet | None = None):
+        x = np.asarray(x)
+        y = np.asarray(y)
+        if len(x) != len(y):
+            raise DimensionMismatch(
+                f"x and y must have equal length, got {len(x)} and {len(y)}")
+        self.x_alphabet = infer_alphabet(x) if x_alphabet is None else x_alphabet
+        self.y_alphabet = infer_alphabet(y) if y_alphabet is None else y_alphabet
+        self.xc = _encode(x, self.x_alphabet)
+        self.yc = _encode(y, self.y_alphabet)
+        self.kx = self.x_alphabet.cardinality
+        self.ky = self.y_alphabet.cardinality
+        self.spec = spec
+        self.n_g = self.ky ** spec.ell
+        self.n_i = self.kx ** spec.m_len
+        self.n_cells = self.n_g * self.n_i * self.ky
+        _check_cells(self.n_cells)
+        # In place: series-length temporaries of concurrent pairs stay resident.
+        n, ell = len(self.yc), spec.ell
+        self.base = np.zeros(max(n - ell, 0), dtype=np.int64)
+        for lag in range(1, ell + 1):
+            self.base *= self.ky
+            self.base += self.yc[ell - lag:ell - lag + len(self.base)]
+        self.base *= self.n_i * self.ky
+        self.base += self.yc[ell:]
+        self.code = self._circular_code(self.xc)
+
+    def _circular_code(self, xs: np.ndarray) -> np.ndarray:
+        """Source-vector code of ``xs`` at every time point, read circularly
+        (lag ``k`` of time ``t`` is ``xs[(t - k) mod n]``, most recent lag
+        first), pre-scaled by the output radix."""
+        cc = xs.astype(np.int64)
+        for lag in range(1, self.spec.m_len):
+            cc *= self.kx
+            cc += np.roll(xs, lag)
+        cc *= self.ky
+        return cc
+
+    def _span(self, loss: int, tail: int) -> tuple:
+        """``(start, stop)`` of the samples t in [loss, n - tail), which must
+        not be empty."""
+        if len(self.yc) <= loss + tail:
+            raise InsufficientData(
+                f"need at least {loss + tail + 1} samples for ell="
+                f"{self.spec.ell}, m_len={self.spec.m_len} at these delays; "
+                f"got {len(self.yc)}", required_length=loss + tail + 1)
+        return loss, len(self.yc) - tail
+
+    def _read(self, tau: int) -> tuple:
+        """``(start, stop, lag)``: the window of delay ``tau`` and the lag at
+        which it reads ``code``."""
+        spec = self.spec.with_tau(tau)
+        start, stop = self._span(spec.alignment_loss, spec.tail_loss)
+        return start, stop, start - tau
+
+    def _bincounts(self, code: np.ndarray, reads) -> np.ndarray:
+        """Flat count tensor of each read ``(start, stop, lag)`` of circular
+        ``code``: sample t in [start, stop) meets ``code[(t - start + lag)
+        mod n]``."""
+        n, ell = len(code), self.spec.ell
+        index = np.empty(max(stop - start for start, stop, _ in reads),
+                         dtype=np.int64)
+        counts = np.empty((len(reads), self.n_cells), dtype=np.int64)
+        for row, (start, stop, lag) in enumerate(reads):
+            base, out = self.base[start - ell:stop - ell], index[:stop - start]
+            head = min(n - lag, len(base))
+            np.add(base[:head], code[lag:lag + head], out=out[:head])
+            np.add(base[head:], code[:len(base) - head], out=out[head:])
+            counts[row] = np.bincount(out, minlength=self.n_cells)
+        return counts
+
+    def counts(self, taus) -> np.ndarray:
+        """Count tensors over (y_past, x_past, y_now), one per delay."""
+        flat = self._bincounts(self.code, [self._read(tau) for tau in taus])
+        return flat.reshape(-1, self.n_g, self.n_i, self.ky).astype(float)
+
+    def dataset(self, tau: int) -> EmbeddedDataset:
+        """The embedded dataset of delay ``tau``."""
+        spec = self.spec.with_tau(tau)
+        return EmbeddedDataset(
+            counts=self.counts([tau])[0],
+            past_alphabet=self.y_alphabet.power(spec.ell),
+            source_alphabet=self.x_alphabet.power(spec.m_len),
+            output_alphabet=self.y_alphabet,
+            spec=spec,
+            n_effective=len(self.yc) - spec.alignment_loss - spec.tail_loss,
+        )
+
+
 def embed(x, y, spec: EmbeddingSpec, x_alphabet: Alphabet | None = None,
           y_alphabet: Alphabet | None = None) -> EmbeddedDataset:
     """Build the (x_past, y_now, y_past) count tensor for one directed pair."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if len(x) != len(y):
-        raise DimensionMismatch("x and y must have equal length")
-    if x_alphabet is None:
-        x_alphabet = infer_alphabet(x)
-    if y_alphabet is None:
-        y_alphabet = infer_alphabet(y)
-    xc = _encode(x, x_alphabet)
-    yc = _encode(y, y_alphabet)
-    kx, ky = x_alphabet.cardinality, y_alphabet.cardinality
-    counts = _counts_from_codes(xc, yc, kx, ky, spec)
-    return EmbeddedDataset(
-        counts=counts,
-        past_alphabet=y_alphabet.power(spec.ell),
-        source_alphabet=x_alphabet.power(spec.m_len),
-        output_alphabet=y_alphabet,
-        spec=spec,
-        n_effective=len(y) - spec.alignment_loss - spec.tail_loss,
-    )
+    return _PairCounts(x, y, spec, x_alphabet, y_alphabet).dataset(spec.tau)
 
 
 def _rows(counts: np.ndarray):
@@ -315,38 +403,39 @@ def delay_scan(x, y, spec_base: EmbeddingSpec, tau_range, objective="te",
     full curve.  Delays for which the series are too short are omitted and
     reported in ``skipped``.
     """
+    return _delay_scan(_PairCounts(x, y, spec_base), tau_range, objective,
+                       tol)
+
+
+def _delay_scan(pair: _PairCounts, tau_range, objective: str,
+                tol: float) -> DelayScanResult:
+    """:func:`delay_scan` of the pair a builder has already encoded."""
     taus = sorted(set(int(t) for t in tau_range))
     if not taus:
         raise ValueError("tau_range must be nonempty")
     score = count_scorer(objective, tol)
-    x_alpha = infer_alphabet(x)
-    y_alpha = infer_alphabet(y)
-    xc = _encode(x, x_alpha)
-    yc = _encode(y, y_alpha)
-    kx, ky = x_alpha.cardinality, y_alpha.cardinality
-    _check_cells(ky ** spec_base.ell * kx ** spec_base.m_len * ky, len(taus))
-    tensors = {}
+    _check_cells(pair.n_cells, len(taus))
     skipped = []
     for tau in taus:
-        spec = spec_base.with_tau(tau)
         try:
-            tensors[tau] = _counts_from_codes(xc, yc, kx, ky, spec)
+            pair._read(tau)
         except InsufficientData:
             skipped.append(tau)
-    if not tensors:
+    fits = [tau for tau in taus if tau not in skipped]
+    if not fits:
         raise InsufficientData("no delay in tau_range fits the data length")
-    stack = np.stack(list(tensors.values()))
+    stack = pair.counts(fits)
     if objective == "capacity_bound":
         # The scorer's own call, keeping the solver tuples of every subchannel.
         values, solved = _subchannel_capacities(stack, tol, 10_000,
                                                 solutions=True)
     else:
         values, solved = score(stack), None
-    curve = dict(zip(tensors, values.tolist()))
+    curve = dict(zip(fits, values.tolist()))
     tau_star = max(curve, key=lambda t: (curve[t], -t))
     capacities = None
     if solved is not None:
-        star = list(tensors).index(tau_star)
+        star = fits.index(tau_star)
         capacities = {g: _result(solution)
                       for (k, g), solution in solved.items() if k == star}
     return DelayScanResult(tau_star=tau_star, curve=curve,

@@ -17,14 +17,12 @@ import numpy as np
 from .capacity import te_capacity_bound
 from .estimation import (
     EmbeddingSpec,
-    delay_scan,
-    embed,
+    _delay_scan,
     estimate_subchannels,
     transfer_entropy,
 )
 from .significance import (
     SurrogateConfig,
-    _null,
     _ScanEvaluator,
     _shift_offsets,
     acausal_mirror,
@@ -69,11 +67,15 @@ def analyze_pair(x, y, source: str, destination: str,
     causal delays minus the best over the mirrored acausal alignments.  This
     keeps dependence that is merely inherited from shared history (which
     peaks acausally) from registering as directed transfer.
+
+    One evaluator's count builder encodes the pair once for the delay scan,
+    the tau* tensor, the observed margin and its null.
     """
     cfg = surrogates or SurrogateConfig()
-    scan = delay_scan(x, y, spec_base, tau_range, objective=objective, tol=tol)
-    spec = spec_base.with_tau(scan.tau_star)
-    est = estimate_subchannels(embed(x, y, spec))
+    evaluator = _ScanEvaluator(x, y, spec_base, objective, tau_range,
+                               acausal_mirror(tau_range) or None, tol)
+    scan = _delay_scan(evaluator.pair, tau_range, objective, tol)
+    est = estimate_subchannels(evaluator.pair.dataset(scan.tau_star))
     te = transfer_entropy(est)
     if scan.capacities is not None:     # the scan has solved tau*'s bound
         bound, per = scan.curve[scan.tau_star], scan.capacities
@@ -86,17 +88,9 @@ def analyze_pair(x, y, source: str, destination: str,
             "unconverged; largest certified gap %.3g bits",
             source, destination, scan.tau_star, unconverged, len(per),
             max(res.gap_bound for res in per.values()))
-    # One evaluator gives the observed margin and its null, exactly as
-    # scan_statistic and null_distribution would; under circular shifts the
-    # observed margin is shift 0 of the null's own stack.
-    evaluator = _ScanEvaluator(x, y, spec_base, objective, tau_range,
-                               acausal_mirror(tau_range) or None, tol)
-    if cfg.method == "circular-shift":
-        values = evaluator.shifted([0, *_shift_offsets(evaluator, cfg)])
-        observed, null = float(values[0]), values[1:]
-    else:
-        observed = float(evaluator.shifted([0])[0])
-        null = _null(evaluator, cfg)
+    # The observed margin is shift 0 of the null's own stack.
+    values = evaluator.shifted([0, *_shift_offsets(evaluator, cfg)])
+    observed, null = float(values[0]), values[1:]
     relation = RelationEstimate(
         source=source,
         destination=destination,

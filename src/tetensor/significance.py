@@ -1,16 +1,18 @@
 """Surrogate-based null distributions and rank p-values.
 
-The default surrogate scheme circularly shifts the source series by a random
-offset, which preserves the source's autocorrelation while destroying any
-cross-coupling at the delays under test.  Seeds are spawned per surrogate from
-the base seed, so results do not depend on evaluation order.
+Each surrogate circularly shifts the source series by a random offset, which
+preserves the source's autocorrelation while destroying any cross-coupling at
+the delays under test (Theiler et al., Physica D 58, 77, 1992).  Seeds are
+spawned per surrogate from the base seed, so results do not depend on
+evaluation order.
 
 A surrogate shifted by ``o`` meets the destination at delay ``tau`` as lag
-``L = (loss - tau - o) mod n`` of one circular source code, so the null is a
-set of lag reads.  The count tensors of those reads come from one of two
-counters, both exact: an add-and-bincount per read, or FFT cross-correlations
-that count every lag of one (destination cell, source code) pair at once.
-A cost rule (:func:`_fft_is_cheaper`) picks the cheaper one per call.
+``L = (loss - tau - o) mod n`` of the pair's one circular source code (see
+``estimation._PairCounts``), so the null is a set of lag reads.  The count
+tensors of those reads come from one of two counters, both exact: the pair
+builder's add-and-bincount per read, or FFT cross-correlations that count
+every lag of one (destination cell, source code) pair at once.  A cost rule
+(:func:`_fft_is_cheaper`) picks the cheaper one per call.
 """
 from __future__ import annotations
 
@@ -20,45 +22,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InsufficientData
-from .estimation import (
-    EmbeddingSpec,
-    _check_cells,
-    _encode,
-    _lag_code,
-    count_scorer,
-    infer_alphabet,
-)
+from .estimation import EmbeddingSpec, _check_cells, _PairCounts, count_scorer
 
 
 @dataclass(frozen=True)
 class SurrogateConfig:
     n_surrogates: int = 199
-    method: str = "circular-shift"
     seed: int = 0
     alpha: float = 0.01
-    block_length: int = 32  # only used by block-permutation
 
     def __post_init__(self):
         if self.n_surrogates < 19:
             raise ValueError("need at least 19 surrogates")
-        if self.method not in ("circular-shift", "block-permutation"):
-            raise ValueError(f"unknown surrogate method {self.method!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if 1.0 / (self.n_surrogates + 1) > self.alpha:
             raise ValueError(
                 "too few surrogates to resolve the requested alpha"
             )
-
-
-def _block_permutation(x: np.ndarray, rng: np.random.Generator,
-                       block_length: int) -> np.ndarray:
-    blocks = [
-        x[start:start + block_length]
-        for start in range(0, len(x), block_length)
-    ]
-    order = rng.permutation(len(blocks))
-    return np.concatenate([blocks[b] for b in order])
 
 
 def acausal_mirror(tau_range) -> tuple:
@@ -131,27 +112,26 @@ def _fft_is_cheaper(n_dest: int, n_i: int, reads: int, n: int,
 
 
 class _ScanEvaluator:
-    """Max-over-delays statistic for a fixed destination series.
+    """Max-over-delays statistic of a pair and of circular shifts of its
+    source.
 
     With acausal delays supplied the value is the causal margin
-    ``max over causal - max over acausal``.  Named statistics use a shared
-    sample range covering every requested alignment, so the destination part
-    of the count index (``base``: cell ``(g, j)`` at each sample) is built
-    once.  The source is encoded once as a circular source-vector code: the
-    source circularly shifted by ``o`` meets, at delay ``tau``, that code read
-    from lag ``(loss - tau - o) mod n``, with no roll or re-encode per
-    surrogate.
+    ``max over causal - max over acausal``.  Every delay is scored over one
+    shared window [loss, n - tail) covering every alignment; ``base`` is
+    that view of the destination-cell index of the pair's count builder
+    (``pair``).  The source circularly shifted by ``o`` meets, at delay
+    ``tau``, the builder's circular source code at lag ``(loss - tau - o)
+    mod n``, with no roll or re-encode per surrogate.
 
     The count tensors of the lags read come from one of two counters:
 
-    * :meth:`_bincounts` adds the code at each lag into a reused index buffer
-      and bincounts it, so its cost grows with lags x samples.  It is the
-      reference, and it counts arbitrary sources (``__call__``, block
-      permutations).
+    * :meth:`_bincounts`, the builder's add-and-bincount per lag, whose cost
+      grows with lags x samples.  It is the reference; ``__call__`` counts
+      the code of a rolled source with it.
     * :meth:`_fft_counts` counts cell ``(g, i, j)`` at every lag at once, as
       the circular cross-correlation of the indicators ``[base == (g, j)]``
       and ``[code == i]``; its cost grows with cells x n log n and not with
-      the number of lags.  It counts the evaluator's own source only.
+      the number of lags.  It counts the builder's own code only.
 
     :meth:`shifted` picks the counter by :func:`_fft_is_cheaper`.  The count
     tensors of all delays of several shifts are scored as one stack.  The
@@ -159,60 +139,30 @@ class _ScanEvaluator:
     the two exchangeable under independence.
     """
 
-    def __init__(self, x, y, spec: EmbeddingSpec, statistic,
+    def __init__(self, x, y, spec: EmbeddingSpec, statistic: str,
                  tau_range=None, acausal_range=None, tol: float = 1e-9):
-        x_alpha = infer_alphabet(x)
-        y_alpha = infer_alphabet(y)
-        self.xc = _encode(np.asarray(x), x_alpha)
-        self.yc = _encode(np.asarray(y), y_alpha)
-        self.kx = x_alpha.cardinality
-        self.ky = y_alpha.cardinality
-        self.spec = spec
+        self.score = count_scorer(statistic, tol)
         taus = [spec.tau] if tau_range is None else sorted(set(tau_range))
         if not taus:
             raise ValueError("tau_range must be nonempty")
         ac = sorted(set(acausal_range)) if acausal_range is not None else []
         if any(t >= 0 for t in ac):
             raise ValueError("acausal_range must contain negative delays only")
+        self.pair = pair = _PairCounts(x, y, spec)
+        self.spec = spec
+        self.xc, self.yc, self.kx, self.ky = pair.xc, pair.yc, pair.kx, pair.ky
+        self.n_g, self.n_i, self.n_cells = pair.n_g, pair.n_i, pair.n_cells
+        self.code = pair.code
         self.taus = taus
         self.ac_taus = ac
         all_taus = taus + ac
         self.min_shift = max(abs(t) for t in all_taus) + spec.m_len
-        if callable(statistic):
-            # A callable receives the surrogate source and the intact
-            # destination as ``(x_surrogate, y, spec)``.
-            self.statistic = statistic
-            self.score = None
-            return
-        self.score = count_scorer(statistic, tol)
-        loss = max(spec.with_tau(t).alignment_loss for t in all_taus)
-        tail = max(spec.with_tau(t).tail_loss for t in all_taus)
-        if len(self.yc) <= loss + tail:
-            raise InsufficientData(
-                f"need more than {loss + tail} samples for this delay range",
-                required_length=loss + tail + 1,
-            )
-        self.loss = loss
-        self.n_g = self.ky ** spec.ell
-        self.n_i = self.kx ** spec.m_len
-        self.n_cells = self.n_g * self.n_i * self.ky
+        self.loss, self.stop = pair._span(
+            max(spec.with_tau(t).alignment_loss for t in all_taus),
+            max(spec.with_tau(t).tail_loss for t in all_taus))
         _check_cells(self.n_cells, len(all_taus))
-        t = np.arange(loss, len(self.yc) - tail)
-        self.n_samples = len(t)
-        g = _lag_code(self.yc, t, range(1, spec.ell + 1), self.ky)
-        self.base = g * (self.n_i * self.ky) + self.yc[t]
-        del t, g
-        self.code = self._circular_code(self.xc)
-
-    def _circular_code(self, xs: np.ndarray) -> np.ndarray:
-        """Source-vector code of ``xs`` at every time point, read circularly
-        (lag ``k`` of time ``t`` is ``xs[(t - k) mod n]``, most recent lag
-        first), pre-scaled by the output radix."""
-        cc = xs.astype(np.int64)
-        for lag in range(1, self.spec.m_len):
-            cc = cc * self.kx + np.roll(xs, lag)
-        cc *= self.ky
-        return cc
+        self.base = pair.base[self.loss - spec.ell:self.stop - spec.ell]
+        self.n_samples = len(self.base)
 
     def _margin(self, values) -> float:
         """Best causal value, less the best acausal one if any."""
@@ -231,17 +181,10 @@ class _ScanEvaluator:
                 for tau in self.taus + self.ac_taus]
 
     def _bincounts(self, code: np.ndarray, lags) -> np.ndarray:
-        """Flat count tensor of circular ``code`` read at each lag, one
-        addition into an index buffer plus one bincount per lag."""
-        n, size = len(code), self.n_samples
-        index = np.empty(size, dtype=np.int64)
-        counts = np.empty((len(lags), self.n_cells), dtype=np.int64)
-        for row, lag in enumerate(lags):
-            head = min(n - lag, size)
-            np.add(self.base[:head], code[lag:lag + head], out=index[:head])
-            np.add(self.base[head:], code[:size - head], out=index[head:])
-            counts[row] = np.bincount(index, minlength=self.n_cells)
-        return counts
+        """Flat count tensor of circular ``code`` read at each lag over the
+        shared window, by the pair builder's add-and-bincount."""
+        return self.pair._bincounts(code, [(self.loss, self.stop, lag)
+                                           for lag in lags])
 
     def _fft_counts(self, lags) -> np.ndarray:
         """Flat count tensor of the evaluator's own code at each lag, from
@@ -325,7 +268,7 @@ class _ScanEvaluator:
         """Margin of the source with circular ``code`` shifted by each offset.
 
         The counts come from ``_fft_counts`` (``code`` must then be the
-        evaluator's own) or from ``_bincounts``, one chunk at a time.  The
+        builder's own) or from ``_bincounts``, one chunk at a time.  The
         count tensors of all delays of up to ``_CHUNK_CELLS // (delays x
         cells)`` shifts (at least one) are scored as one stack."""
         n_taus = len(self.taus + self.ac_taus)
@@ -343,52 +286,37 @@ class _ScanEvaluator:
         return np.array(values)
 
     def __call__(self, xs: np.ndarray) -> float:
-        if self.score is None:
-            return self._margin(self.statistic(xs, self.yc,
-                                               self.spec.with_tau(tau))
-                                for tau in self.taus + self.ac_taus)
-        return self._shifted_values(self._circular_code(xs), [0])[0]
+        """Statistic of the source with codes ``xs`` (a rolled copy of
+        ``self.xc``, say), counted from its own circular code."""
+        return self._shifted_values(self.pair._circular_code(xs), [0])[0]
 
     def shifted(self, offsets) -> np.ndarray:
         """Statistic of each circular shift ``np.roll(self.xc, offset)``."""
-        if self.score is None:
-            return np.array([self(np.roll(self.xc, o)) for o in offsets])
         reads = len(offsets) * len(self.taus + self.ac_taus)
         fft = _fft_is_cheaper(self.n_g * self.ky, self.n_i, reads,
                               len(self.xc), self.n_samples)
         return self._shifted_values(self.code, offsets, fft)
 
 
-def _rngs(cfg: SurrogateConfig) -> list:
-    """One generator per surrogate, spawned from ``cfg.seed``."""
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_surrogates)
-    return [np.random.default_rng(seed) for seed in seeds]
-
-
 def _shift_offsets(evaluator: _ScanEvaluator, cfg: SurrogateConfig) -> list:
     """``cfg``'s circular-shift offsets of the evaluator's source, one per
-    surrogate, each at least ``min_shift`` from either end."""
+    surrogate (each from its own generator spawned from ``cfg.seed``), each
+    at least ``min_shift`` from either end."""
     n, lo = len(evaluator.xc), evaluator.min_shift
     if n <= 2 * lo:
         raise InsufficientData(
             f"series of length {n} too short for shifts >= {lo}"
         )
-    return [int(rng.integers(lo, n - lo)) for rng in _rngs(cfg)]
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_surrogates)
+    return [int(np.random.default_rng(seed).integers(lo, n - lo))
+            for seed in seeds]
 
 
-def _null(evaluator: _ScanEvaluator, cfg: SurrogateConfig) -> np.ndarray:
-    """The evaluator's statistic over ``cfg``'s surrogates of its source."""
-    if cfg.method == "block-permutation":
-        return np.array([
-            evaluator(_block_permutation(evaluator.xc, rng, cfg.block_length))
-            for rng in _rngs(cfg)
-        ])
-    return evaluator.shifted(_shift_offsets(evaluator, cfg))
-
-
-def scan_statistic(x, y, spec: EmbeddingSpec, statistic, tau_range=None,
-                   acausal_range=None, tol: float = 1e-9) -> float:
-    """Observed max-over-delays statistic (or causal margin) for a pair.
+def scan_statistic(x, y, spec: EmbeddingSpec, statistic: str,
+                   tau_range=None, acausal_range=None,
+                   tol: float = 1e-9) -> float:
+    """Observed max-over-delays ``"te"`` or ``"capacity_bound"`` statistic
+    (or causal margin) for a pair.
 
     Computed by the same machinery as :func:`null_distribution`, so the
     observed value and the surrogate values are exchangeable under
@@ -399,10 +327,10 @@ def scan_statistic(x, y, spec: EmbeddingSpec, statistic, tau_range=None,
     return float(evaluator.shifted([0])[0])
 
 
-def null_distribution(x, y, spec: EmbeddingSpec, statistic,
+def null_distribution(x, y, spec: EmbeddingSpec, statistic: str,
                       cfg: SurrogateConfig, tau_range=None,
                       acausal_range=None, tol: float = 1e-9) -> np.ndarray:
-    """Statistic values over coupling-destroyed source surrogates.
+    """Statistic values over circularly shifted source surrogates.
 
     With ``tau_range`` given, each surrogate's statistic is the maximum over
     those delays; use this as the null when the observed statistic itself came
@@ -414,8 +342,9 @@ def null_distribution(x, y, spec: EmbeddingSpec, statistic,
     coupling peaks at a causal delay, while dependence inherited from shared
     history peaks at an acausal alignment, so the margin separates the two.
     """
-    return _null(_ScanEvaluator(x, y, spec, statistic, tau_range,
-                                acausal_range, tol), cfg)
+    evaluator = _ScanEvaluator(x, y, spec, statistic, tau_range,
+                               acausal_range, tol)
+    return evaluator.shifted(_shift_offsets(evaluator, cfg))
 
 
 def p_value(observed: float, null) -> float:

@@ -308,7 +308,6 @@ class TriadTensors:
     a: TransitionTensor               # (g, i) -> j
     weights: TransitionTensor         # (h, i) -> g
     a_bar: TransitionTensor           # (h, i) -> j, estimated directly
-    a_bar_summed: TransitionTensor    # (h, i) -> j via the g contraction
     b: TransitionTensor               # (h, j) -> k
     c: TransitionTensor               # (h, i) -> k
     input_given_h: TransitionTensor   # (h) -> i
@@ -381,13 +380,10 @@ def estimate_triad_tensors(a, b, c, tau1: int, tau2: int,
     probs, sup_h = _rows(row_counts)
     input_given_h = TransitionTensor((h_alpha,), alpha_a, probs, sup_h)
 
-    a_bar_summed = bar_tensor(a_t, weights)
-
     return TriadTensors(
         a=a_t,
         weights=weights,
         a_bar=a_bar,
-        a_bar_summed=a_bar_summed,
         b=b_t,
         c=c_t,
         input_given_h=input_given_h,

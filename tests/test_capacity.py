@@ -6,7 +6,6 @@ from tetensor.capacity import (
     blahut_arimoto,
     capacity_bound_from_counts,
     channel_capacity,
-    relation_capacity,
     te_capacity_bound,
 )
 from tetensor.core import DimensionMismatch, Pmf, TransitionTensor
@@ -177,14 +176,6 @@ class TestTeCapacityBound:
         est = estimate_subchannels(data)
         bound, _ = te_capacity_bound(est, tol=1e-10)
         assert abs(direct - bound) < 1e-12
-
-    def test_relation_capacity_wrapper(self):
-        rng = np.random.default_rng(5)
-        x = rng.integers(0, 2, 4000)
-        y = np.roll(x, 1)
-        bound, est = relation_capacity(x, y, EmbeddingSpec())
-        assert bound > 0.95
-        assert est.n_effective == 3999
 
 
 class TestUnconvergedBoundWarning:

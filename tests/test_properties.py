@@ -1,5 +1,9 @@
-"""Property tests for the batched TE, capacity-bound and Blahut-Arimoto
-solvers, and for the subchannel decomposition of TE.
+"""Property tests for the pair count builder, the batched TE,
+capacity-bound and Blahut-Arimoto solvers, and for the subchannel
+decomposition of TE.
+
+The builder's count tensor at every delay must equal the direct per-delay
+count.
 
 A stack of count tensors (L, g, i, j) must score exactly as its tensors do
 one at a time, the bound must agree with Blahut-Arimoto, and TE must lie
@@ -17,15 +21,67 @@ from tetensor.capacity import (
     blahut_arimoto,
     capacity_bound_from_counts,
 )
-from tetensor.core import Alphabet
+import pytest
+
+from tetensor.core import Alphabet, InsufficientData
 from tetensor.estimation import (
     EmbeddedDataset,
     EmbeddingSpec,
+    _counts_from_codes,
+    _encode,
+    _PairCounts,
+    embed,
     estimate_subchannels,
     te_from_counts,
     transfer_entropy,
     transfer_entropy_direct,
 )
+
+
+class TestPairCounts:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), kx=st.integers(2, 3),
+           ky=st.integers(2, 3), ell=st.integers(1, 2),
+           m_len=st.integers(1, 3), n=st.integers(8, 60),
+           unused=st.booleans(), labelled=st.booleans())
+    def test_every_delay_equals_direct_counts(self, seed, kx, ky, ell, m_len,
+                                              n, unused, labelled):
+        # Every delay that fits, causal and acausal, down to the one-sample
+        # windows at either end, counted in one call as the delay scan does,
+        # and each delay alone through embed; with ``unused`` the declared
+        # alphabets hold a symbol the series never take.  Unlabelled series
+        # are int64 codes, which encode without a copy.
+        rng = np.random.default_rng(seed)
+        step, x0, y0 = (10, 1, 2) if labelled else (1, 0, 0)
+        x = step * rng.integers(0, kx, n) + x0
+        y = step * rng.integers(0, ky, n) + y0
+        ax = Alphabet(tuple(step * s + x0 for s in range(kx + unused)))
+        ay = Alphabet(tuple(step * s + y0 for s in range(ky + unused)))
+        base = EmbeddingSpec(ell=ell, m_len=m_len)
+        pair = _PairCounts(x, y, base, ax, ay)
+        xc, yc = _encode(x, ax), _encode(y, ay)
+        first, last = ell + 1 - n, n - m_len
+        taus = range(first, last + 1)
+        for tau, mine in zip(taus, pair.counts(taus), strict=True):
+            spec = base.with_tau(tau)
+            direct = _counts_from_codes(xc, yc, ax.cardinality,
+                                        ay.cardinality, spec)
+            assert np.array_equal(mine, direct)
+            assert np.array_equal(embed(x, y, spec, ax, ay).counts, direct)
+            assert direct.sum() == n - spec.alignment_loss - spec.tail_loss
+        for tau in (first - 1, last + 1):
+            with pytest.raises(InsufficientData):
+                pair.counts([tau])
+            with pytest.raises(InsufficientData):
+                _counts_from_codes(xc, yc, ax.cardinality, ay.cardinality,
+                                   base.with_tau(tau))
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5])
+    def test_series_no_longer_than_past_raise(self, n):
+        # No sample has a full destination past of length 5.
+        x = np.arange(n) % 2
+        with pytest.raises(InsufficientData):
+            embed(x, x, EmbeddingSpec(ell=5, tau=1))
 
 
 @st.composite

@@ -25,8 +25,6 @@ class TestSurrogateConfig:
         with pytest.raises(ValueError):
             SurrogateConfig(n_surrogates=5)
         with pytest.raises(ValueError):
-            SurrogateConfig(method="phase-shuffle")
-        with pytest.raises(ValueError):
             SurrogateConfig(alpha=0.0)
         with pytest.raises(ValueError):
             # 19 surrogates cannot resolve alpha = 0.01.
@@ -199,20 +197,6 @@ class TestScanStatisticAndNull:
                              acausal_range=acausal_mirror(taus))
         assert abs(obs - ev(ev.xc)) < 1e-15
 
-    def test_callable_statistic(self):
-        calls = []
-
-        def stat(xs, yc, spec):
-            calls.append(spec.tau)
-            return float(spec.tau)
-
-        x = np.zeros(200, dtype=int)
-        x[::3] = 1
-        y = np.roll(x, 1)
-        obs = scan_statistic(x, y, EmbeddingSpec(), stat, tau_range=[1, 2, 3])
-        assert obs == 3.0
-        assert sorted(set(calls)) == [1, 2, 3]
-
     def test_too_short_series_raise(self):
         # Circular shifts need room on both sides of the largest delay.
         with pytest.raises(InsufficientData):
@@ -235,14 +219,6 @@ class TestScanStatisticAndNull:
                                               seed=8),
                               tau_range=[1, 2])
         assert not np.array_equal(a, c)
-
-    def test_block_permutation_method(self):
-        x, y = _coupled_pair(n=2000, seed=6)
-        cfg = SurrogateConfig(n_surrogates=19, alpha=0.1,
-                              method="block-permutation", block_length=64)
-        null = null_distribution(x, y, EmbeddingSpec(), "te", cfg,
-                                 tau_range=[1, 2])
-        assert len(null) == 19 and np.all(null >= 0)
 
 
 class TestChunkedShifts:
@@ -373,6 +349,66 @@ class TestObservedInNullStack:
         assert res.causal_margin == obs
         assert np.array_equal(res.null, null)
         assert res.relation.p_value == p_value(obs, null)
+
+    @pytest.mark.parametrize("objective", ["te", "capacity_bound"])
+    def test_analyze_pair_scan_and_tau_star_tensor(self, objective):
+        # analyze_pair counts its delay scan and tau* tensor with its
+        # evaluator's builder; they must equal the public calls.
+        from tetensor.capacity import te_capacity_bound
+        from tetensor.estimation import (
+            delay_scan,
+            embed,
+            estimate_subchannels,
+            transfer_entropy,
+        )
+        from tetensor.pipeline import analyze_pair
+
+        rng = np.random.default_rng(14)
+        x = rng.integers(0, 3, 3000)
+        y = np.where(rng.random(3000) < 0.4, rng.integers(0, 3, 3000),
+                     np.roll(x, 2))
+        spec = EmbeddingSpec(ell=2)
+        taus = range(1, 4)
+        cfg = SurrogateConfig(n_surrogates=19, alpha=0.1, seed=22)
+        res = analyze_pair(x, y, "X", "Y", spec, taus, objective=objective,
+                           surrogates=cfg, tol=1e-6)
+        scan = delay_scan(x, y, spec, taus, objective=objective, tol=1e-6)
+        est = estimate_subchannels(embed(x, y, spec.with_tau(scan.tau_star)))
+        bound, _ = te_capacity_bound(est, tol=1e-6)
+        rel = res.relation
+        assert rel.tau_star == scan.tau_star == 2
+        assert res.curve == scan.curve
+        assert rel.te_bits == transfer_entropy(est)
+        assert rel.capacity_bound_bits == bound
+        assert np.array_equal(rel.tensors.counts, est.counts)
+        assert rel.tensors.n_effective == est.n_effective
+
+
+class TestUnequalLengths:
+    """The pair's count builder refuses series of unequal length."""
+
+    @pytest.mark.parametrize("n_x, n_y", [(500, 400), (400, 500)])
+    @pytest.mark.parametrize("call", ["delay_scan", "scan_statistic",
+                                      "null_distribution", "analyze_pair"])
+    def test_raises_dimension_mismatch(self, call, n_x, n_y):
+        from tetensor.estimation import delay_scan
+        from tetensor.pipeline import analyze_pair
+
+        rng = np.random.default_rng(15)
+        x, y = rng.integers(0, 2, n_x), rng.integers(0, 2, n_y)
+        spec, taus = EmbeddingSpec(), [1, 2, 3]
+        cfg = SurrogateConfig(n_surrogates=19, alpha=0.1)
+        calls = {
+            "delay_scan": lambda: delay_scan(x, y, spec, taus),
+            "scan_statistic": lambda: scan_statistic(x, y, spec, "te",
+                                                     tau_range=taus),
+            "null_distribution": lambda: null_distribution(
+                x, y, spec, "te", cfg, tau_range=taus),
+            "analyze_pair": lambda: analyze_pair(x, y, "X", "Y", spec, taus,
+                                                 surrogates=cfg),
+        }
+        with pytest.raises(DimensionMismatch, match=f"{n_x} and {n_y}"):
+            calls[call]()
 
 
 class TestCalibration:
