@@ -86,6 +86,16 @@ def _last(a: np.ndarray) -> np.ndarray:
     return np.add.accumulate(a, axis=-1)[..., -1]
 
 
+def _check_solver(tol: float, max_iter: int) -> None:
+    """Refuse a tolerance that is not finite and positive, or fewer than one
+    iteration.  Every capacity path checks this on entry, as the closed-form
+    paths of binary channels never reach the iteration."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+
+
 def _blahut_arimoto_batch(w: np.ndarray, on: np.ndarray, tol: float,
                           max_iter: int):
     """Blahut-Arimoto on K channels at once.
@@ -100,8 +110,7 @@ def _blahut_arimoto_batch(w: np.ndarray, on: np.ndarray, tol: float,
     Returns arrays ``(bits, weights, iterations, converged, gap)``, weights
     of shape (K, n) and zero on inactive rows.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_solver(tol, max_iter)
     n_on = on.sum(axis=1)
     k = len(w)
     bits, gaps = np.zeros(k), np.zeros(k)
@@ -268,6 +277,7 @@ def _two_row_capacity(w: np.ndarray, tol: float):
 
 def _capacity(rows: np.ndarray, tol: float, max_iter: int):
     """Solver tuple of one channel matrix; see :func:`channel_capacity`."""
+    _check_solver(tol, max_iter)
     rows = _stochastic(rows)
     if rows.shape[0] == 2:
         return _two_row_capacity(rows, tol)
@@ -319,6 +329,7 @@ def _subchannel_capacities(counts, tol: float, max_iter: int,
     batch; zero-capacity ones need no solve, and two-row ones with more
     outputs are bisected one at a time.
     """
+    _check_solver(tol, max_iter)
     counts = np.asarray(counts, dtype=float)
     lead = counts.shape[:-3]
     c = counts.reshape((-1,) + counts.shape[-3:])

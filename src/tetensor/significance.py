@@ -11,8 +11,11 @@ A surrogate shifted by ``o`` meets the destination at delay ``tau`` as lag
 ``estimation._PairCounts``), so the null is a set of lag reads.  The count
 tensors of those reads come from one of two counters, both exact: the pair
 builder's add-and-bincount per read, or FFT cross-correlations that count
-every lag of one (destination cell, source code) pair at once.  A cost rule
-(:func:`_fft_is_cheaper`) picks the cheaper one per call.
+every lag of one (destination cell, source code) pair at once.  The FFT
+counter correlates every source code but the last, whose counts follow from
+the destination cells' totals, and checks each correlated code's total at
+every lag.  A cost rule (:func:`_fft_is_cheaper`) picks the cheaper counter
+per call.
 """
 from __future__ import annotations
 
@@ -59,21 +62,24 @@ def acausal_mirror(tau_range) -> tuple:
 _CHUNK_CELLS = 2048
 
 # The counting cost rule.  Add-and-bincount reads every sample once per lag;
-# the FFT counter makes 2 + 8 n_i transforms of length M ~ n per destination
-# cell (see _ScanEvaluator._fft_counts), whatever the number of lags.
+# the FFT counter makes (n_i - 1)(2 + 8 n_dest) transforms of length M ~ n
+# (see _ScanEvaluator._fft_counts), whatever the number of lags.
 # Measured on a 2-core x86-64 host (Python 3.11, numpy 2.4.6) with both
-# counters on the 7 800 lags of a 100k-sample binary lattice pair (16 cells):
-# 2.2 ns per sample per lag for bincount, and 0.92 ns per M log2 M point of
-# each transform for the FFT counter, its gathers included.
-_NS_PER_SAMPLE_READ = 2.2
-_NS_PER_FFT_POINT = 0.92
+# counters on the 7 800 lags of a 100k-sample binary lattice pair (16 cells,
+# 102 transforms), medians of five runs: 2.7 ns per sample per lag for
+# bincount, and 1.12 ns per M log2 M point of each transform for the FFT
+# counter, its gathers and checks included.
+_NS_PER_SAMPLE_READ = 2.7
+_NS_PER_FFT_POINT = 1.12
 # The FFT counter holds the int64 counts of every lag it reads at once (the
 # bincount counter one chunk of them); past this many cells it is not used.
 _TABLE_CELLS = 2 ** 18
 # One FFT counter runs at a time per process, so a job holds one set of its
-# transform buffers however many pairs its worker threads analyze at once:
-# two concurrent counters raised the peak RSS of a two-thread 100k lattice
-# pair job by about 2 MB over one (58.7 against 56.8 MB, medians of five).
+# transform buffers however many pairs its worker threads analyze at once.
+# Without the lock, on the host of the cost rule's constants (medians of five
+# alternating benchmark runs, two threads), the 100k lattice pair job's peak
+# RSS rose from 53.8 to 58.6 MB (+8.9 %), while the six-pair 100k triad job
+# ran in 0.90 s against 1.04 s.
 _FFT_LOCK = threading.Lock()
 
 
@@ -106,7 +112,7 @@ def _fft_is_cheaper(n_dest: int, n_i: int, reads: int, n: int,
     if reads * n_dest * n_i > _TABLE_CELLS:
         return False
     length = _fft_length(-(-n_samples // 2) + -(-n // 2) - 1)
-    fft_ns = (n_dest * (2 + 8 * n_i) * length * np.log2(length)
+    fft_ns = ((n_i - 1) * (2 + 8 * n_dest) * length * np.log2(length)
               * _NS_PER_FFT_POINT)
     return fft_ns < reads * n_samples * _NS_PER_SAMPLE_READ
 
@@ -130,8 +136,9 @@ class _ScanEvaluator:
       the code of a rolled source with it.
     * :meth:`_fft_counts` counts cell ``(g, i, j)`` at every lag at once, as
       the circular cross-correlation of the indicators ``[base == (g, j)]``
-      and ``[code == i]``; its cost grows with cells x n log n and not with
-      the number of lags.  It counts the builder's own code only.
+      and ``[code == i]``, and derives the last code's cells; its cost grows
+      with cells x n log n and not with the number of lags.  It counts the
+      builder's own code only.
 
     :meth:`shifted` picks the counter by :func:`_fft_is_cheaper`.  The count
     tensors of all delays of several shifts are scored as one stack.  The
@@ -197,16 +204,30 @@ class _ScanEvaluator:
         ``M >= |a half| + |b half| - 1`` (about n) so that it does not wrap.
         Half ``p`` of ``a`` (from ``s_p``) meets half ``q`` of ``b`` (from
         ``k_q``) at lag ``L`` at correlation offset ``e = (s_p + L - k_q) mod
-        n`` or ``e - n``, whichever lies in the pair's range.  One spectrum
-        of a destination half is held at a time and each product is dropped
-        once its lags are read, so no table of all n lags, and no array of
-        more than about n floats, is ever built; unsplit, the transforms
-        would be twice as long and raise the peak RSS of a lattice pair job.
-        The rounded counts must be within 0.25 of the floats and every
-        tensor must hold all n_samples samples; otherwise this raises rather
-        than return wrong counts.
+        n`` or ``e - n``, whichever lies in the pair's range.
+
+        Only codes 0 .. n_i - 2 are correlated.  Every sample meets exactly
+        one code, so the last code's count of cell (g, j) is the number of
+        window samples in (g, j), a bincount of ``base``, less the other
+        codes' counts.  Each half of ``b`` is transformed once, and every
+        destination half is transformed against it: (n_i - 1)(2 + 8 n_dest)
+        transforms.  Every transform is written into one of three length-M
+        buffers (the source spectrum, the destination spectrum that becomes
+        the product, and the correlation), so no table of all n lags, and
+        no array of more than about n floats, is ever built; unsplit, the
+        transforms would be twice as long and raise the peak RSS of a
+        lattice pair job.
+
+        Three checks make the counter raise rather than return wrong counts.
+        Each gathered correlation must be within 0.25 of an integer, so that
+        rounding recovers it.  For each correlated code and every lag, the
+        counts over all (g, j) must sum to the number of window samples that
+        meet the code, counted from ``code`` alone (its total, less its
+        count in the n - n_samples positions the window leaves out): a
+        uniform shift of the transforms, or one count off in one cell,
+        fails it.  The derived counts must not be negative.
         """
-        n, size = len(self.code), self.n_samples
+        n, size, ky = len(self.code), self.n_samples, self.ky
         half_a, half_b = -(-size // 2), -(-n // 2)
         length = _fft_length(half_a + half_b - 1)
         a_halves = [(s, min(size, s + half_a) - s)
@@ -214,54 +235,69 @@ class _ScanEvaluator:
         b_halves = [(k, min(n, k + half_b) - k)
                     for k in range(0, n, half_b)]
         lags = np.asarray(lags, dtype=np.int64)
-        # Where each lag reads the correlation of halves p and q, if at all.
+        # The lags that read the correlation of halves p and q, and where.
         reads_at = {}
         for p, (s, a_len) in enumerate(a_halves):
             for q, (k, b_len) in enumerate(b_halves):
                 e = (s + lags - k) % n
                 e = np.where(e < b_len, e, e - n)
-                reads_at[p, q] = (e % length, e > -a_len)
-        counts = np.empty((len(lags), self.n_g, self.n_i, self.ky),
-                          dtype=np.int64)
-        values = np.empty((self.n_i, len(lags)))
+                rows = np.flatnonzero(e > -a_len)
+                reads_at[p, q] = rows, e[rows] % length
+        counts = np.zeros((len(lags), self.n_g, self.n_i, ky), dtype=np.int64)
         residual = 0.0
         with _FFT_LOCK:
-            for g in range(self.n_g):
-                for j in range(self.ky):
-                    cell = g * self.n_i * self.ky + j
-                    values[:] = 0.0
-                    for p, (s, a_len) in enumerate(a_halves):
-                        a_spectrum = np.fft.rfft(
-                            self.base[s:s + a_len] == cell, length)
-                        np.conjugate(a_spectrum, out=a_spectrum)
-                        for i in range(self.n_i):
-                            for q, (k, b_len) in enumerate(b_halves):
-                                product = np.fft.rfft(
-                                    self.code[k:k + b_len] == i * self.ky,
-                                    length)
-                                product *= a_spectrum
-                                lin = np.fft.irfft(product, length)
-                                del product
-                                index, hit = reads_at[p, q]
-                                values[i] += np.where(hit, lin[index], 0.0)
-                                del lin
-                        del a_spectrum
-                    rounded = np.rint(values)
-                    residual = max(residual, float(
-                        np.max(np.abs(values - rounded), initial=0.0)))
-                    counts[:, g, :, j] = rounded.T
-        counts = counts.reshape(len(lags), self.n_cells)
-        if not residual < 0.25:
-            raise FloatingPointError(
-                f"FFT lag counts are not integers: residual {residual:.3g} "
-                f"at transform length {length}")
-        totals = counts.sum(axis=1)
-        if np.any(totals != size):
-            worst = int(totals[np.argmax(np.abs(totals - size))])
-            raise FloatingPointError(
-                f"FFT lag counts sum to {worst}, not {size} samples "
-                f"(rounding residual {residual:.3g})")
-        return counts
+            b_spectrum = a_spectrum = lin = None
+            for i in range(self.n_i - 1):
+                for q, (k, b_len) in enumerate(b_halves):
+                    b_spectrum = np.fft.rfft(self.code[k:k + b_len] == i * ky,
+                                             length, out=b_spectrum)
+                    for g, j in np.ndindex(self.n_g, ky):
+                        cell = g * self.n_i * ky + j
+                        for p, (s, a_len) in enumerate(a_halves):
+                            a_spectrum = np.fft.rfft(
+                                self.base[s:s + a_len] == cell, length,
+                                out=a_spectrum)
+                            np.conjugate(a_spectrum, out=a_spectrum)
+                            a_spectrum *= b_spectrum
+                            lin = np.fft.irfft(a_spectrum, length, out=lin)
+                            rows, index = reads_at[p, q]
+                            values = lin[index]
+                            rounded = np.rint(values)
+                            residual = max(residual, float(np.max(
+                                np.abs(values - rounded), initial=0.0)))
+                            counts[rows, g, i, j] += rounded.astype(np.int64)
+            del b_spectrum, a_spectrum, lin
+            # Checked and derived under the lock too: run beside another
+            # counter's transforms, this raised a lattice pair job's peak RSS.
+            if not residual < 0.25:
+                raise FloatingPointError(
+                    f"FFT lag counts are not integers: residual "
+                    f"{residual:.3g} at transform length {length}")
+            # Window samples meeting code i at lag L: the code's total count,
+            # less its count among the n - size positions the window leaves
+            # out, [L + size, L + n) read circularly.
+            totals = np.bincount(self.code, minlength=self.n_i * ky)[::ky]
+            expected = np.tile(totals, (len(lags), 1))
+            every = np.arange(len(lags))
+            for r in range(size, n):
+                expected[every, self.code[(lags + r) % n] // ky] -= 1
+            got = counts.sum(axis=(1, 3))
+            wrong = np.argwhere(got[:, :-1] != expected[:, :-1])
+            if len(wrong):
+                row, i = wrong[0]
+                raise FloatingPointError(
+                    f"FFT lag counts of source code {i} sum to "
+                    f"{got[row, i]}, not {expected[row, i]} window samples "
+                    f"(rounding residual {residual:.3g})")
+            dest = np.bincount(self.base, minlength=self.n_cells).reshape(
+                self.n_g, self.n_i, ky)[:, 0, :]
+            last = counts[:, :, -1, :]
+            np.subtract(dest, counts[:, :, :-1, :].sum(axis=2), out=last)
+            if np.any(last < 0):
+                raise FloatingPointError(
+                    f"derived FFT lag counts of source code {self.n_i - 1} "
+                    f"are negative, down to {int(last.min())}")
+        return counts.reshape(len(lags), self.n_cells)
 
     def _shifted_values(self, code: np.ndarray, offsets,
                         fft: bool = False) -> np.ndarray:

@@ -143,6 +143,21 @@ class TestAnalyze:
                         "--columns", "A,Q"])
         assert code == 3
 
+    @pytest.mark.parametrize("objective", ["capacity_bound", "te"])
+    @pytest.mark.parametrize("tol", ["0", "nan"])
+    def test_bad_tol_is_data_error(self, tmp_path, capsys, tol, objective):
+        # Binary channels take closed-form paths, which must check tol too.
+        src = tmp_path / "pair.csv"
+        out = tmp_path / "report.json"
+        self._make_pair_csv(src, n=400)
+        code = run_cli(["analyze", "--input", str(src), "--pre-quantized",
+                        "--tau-max", "2", "--surrogates", "19",
+                        "--alpha", "0.05", "--objective", objective,
+                        "--tol", tol, "--output", str(out)])
+        assert code == 3
+        assert "tol must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_code(self):
         # argparse exits with 2 on bad usage.
         with pytest.raises(SystemExit) as exc:
@@ -172,6 +187,19 @@ class TestSweepEpsilon:
             assert 0.0 < float(row["p_fwd"]) <= 1.0
             assert float(row["capacity_fwd"]) >= 0.0
             assert float(row["tau_fwd"]) == int(float(row["tau_fwd"]))
+
+    @pytest.mark.parametrize("tol", ["0", "nan"])
+    def test_bad_tol_is_data_error(self, tmp_path, capsys, tol):
+        out = tmp_path / "sweep.csv"
+        code = run_cli([
+            "sweep-epsilon", "--eps-min", "0.4", "--eps-max", "0.4",
+            "--maps", "5", "--n", "1000", "--transient", "100",
+            "--tau-max", "2", "--surrogates", "19", "--alpha", "0.05",
+            "--tol", tol, "--output", str(out),
+        ])
+        assert code == 3
+        assert "tol must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rows_are_analyze_pair_of_seeded_lattices(self, tmp_path):
         from tetensor.estimation import EmbeddingSpec
@@ -273,6 +301,22 @@ class TestCapacity:
         assert code == 3
         bad = 0 if rows.startswith("nan") else 1
         assert f"row {bad} has a non-finite entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--tol", "nan", "tol must be finite and positive"),
+        ("--tol", "0", "tol must be finite and positive"),
+        ("--max-iter", "0", "max_iter must be at least 1"),
+        ("--max-iter", "-3", "max_iter must be at least 1"),
+    ])
+    def test_bad_solver_option_is_data_error(self, tmp_path, capsys, option,
+                                             value, message):
+        mat = tmp_path / "bsc.txt"
+        mat.write_text("0.9 0.1\n0.1 0.9\n")
+        code = run_cli(["capacity", "--input", str(mat), option, value])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "capacity_bits" not in captured.out
 
     def test_nonconvergence_exit_code(self, tmp_path):
         mat = tmp_path / "slow.txt"

@@ -257,7 +257,7 @@ class TestFftLagCounts:
     cheaper counter."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 3),
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
            ell=st.integers(1, 2), m_len=st.integers(1, 3),
            n=st.integers(50, 3000), acausal=st.booleans(), data=st.data())
     def test_fft_counts_equal_bincounts(self, seed, k, ell, m_len, n,
@@ -316,7 +316,7 @@ class TestFftLagCounts:
         assert _fft_length(99_998 + 99_957) == 200_000
 
     @pytest.mark.parametrize("shift, message", [(0.4, "residual 0.4"),
-                                                (1.0, "not 497 samples")])
+                                                (1.0, "window samples")])
     def test_bad_transform_raises(self, monkeypatch, shift, message):
         # A counter that is off must fail loudly, never round silently.
         x, y = _coupled_pair(n=500, seed=12)
@@ -327,6 +327,29 @@ class TestFftLagCounts:
                             lambda *a, **k: irfft(*a, **k) + shift)
         with pytest.raises(FloatingPointError, match=message):
             ev._fft_counts(ev._lags([0, 10, 20]))
+
+    def test_one_count_off_by_one_raises(self, monkeypatch):
+        # A single integer error moves one cell of one code at one lag; the
+        # per-code window totals must catch it.
+        x, y = _coupled_pair(n=500, seed=12)
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(), "te", [1, 2, 3])
+        lags = ev._lags([0, 10, 20])
+        # The first transform correlates the first halves of the destination
+        # cell and the source code; a lag below half the series reads it at
+        # offset equal to the lag.
+        assert lags[0] < len(ev.code) // 2
+        irfft, calls = np.fft.irfft, []
+
+        def off_once(*args, **kwargs):
+            lin = irfft(*args, **kwargs)
+            if not calls:
+                lin[lags[0]] += 1.0
+            calls.append(1)
+            return lin
+
+        monkeypatch.setattr(np.fft, "irfft", off_once)
+        with pytest.raises(FloatingPointError, match="window samples"):
+            ev._fft_counts(lags)
 
 
 class TestObservedInNullStack:
