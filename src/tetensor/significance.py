@@ -275,20 +275,22 @@ class _ScanEvaluator:
                     f"{residual:.3g} at transform length {length}")
             # Window samples meeting code i at lag L: the code's total count,
             # less its count among the n - size positions the window leaves
-            # out, [L + size, L + n) read circularly.
-            totals = np.bincount(self.code, minlength=self.n_i * ky)[::ky]
-            expected = np.tile(totals, (len(lags), 1))
-            every = np.arange(len(lags))
-            for r in range(size, n):
-                expected[every, self.code[(lags + r) % n] // ky] -= 1
-            got = counts.sum(axis=(1, 3))
-            wrong = np.argwhere(got[:, :-1] != expected[:, :-1])
-            if len(wrong):
-                row, i = wrong[0]
-                raise FloatingPointError(
-                    f"FFT lag counts of source code {i} sum to "
-                    f"{got[row, i]}, not {expected[row, i]} window samples "
-                    f"(rounding residual {residual:.3g})")
+            # out, [L + size, L + n) read circularly.  A one-symbol source
+            # correlates no code, so there is nothing to check.
+            if self.n_i > 1:
+                totals = np.bincount(self.code, minlength=self.n_i * ky)[::ky]
+                expected = np.tile(totals, (len(lags), 1))
+                every = np.arange(len(lags))
+                for r in range(size, n):
+                    expected[every, self.code[(lags + r) % n] // ky] -= 1
+                got = counts.sum(axis=(1, 3))
+                wrong = np.argwhere(got[:, :-1] != expected[:, :-1])
+                if len(wrong):
+                    row, i = wrong[0]
+                    raise FloatingPointError(
+                        f"FFT lag counts of source code {i} sum to "
+                        f"{got[row, i]}, not {expected[row, i]} window "
+                        f"samples (rounding residual {residual:.3g})")
             dest = np.bincount(self.base, minlength=self.n_cells).reshape(
                 self.n_g, self.n_i, ky)[:, 0, :]
             last = counts[:, :, -1, :]
