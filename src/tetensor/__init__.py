@@ -69,6 +69,7 @@ from .simulate import (
     generate_lattice,
     generate_triad,
     quantize_extrema,
+    step_lattices,
 )
 
 __version__ = "0.1.0"

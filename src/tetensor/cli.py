@@ -24,7 +24,13 @@ from .core import (
 from .estimation import EmbeddingSpec
 from .pipeline import analyze_pair, analyze_series, max_workers
 from .significance import SurrogateConfig
-from .simulate import LatticeConfig, generate_lattice, generate_triad, quantize_extrema
+from .simulate import (
+    LatticeConfig,
+    generate_lattice,
+    generate_triad,
+    quantize_extrema,
+    step_lattices,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -190,23 +196,36 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+# Recorded lattice values (float64) held at once by a sweep: the lattices
+# are stepped in chunks of at most this many cells over maps 0 and 1, e.g.
+# 10 couplings per chunk at 100k samples.
+_SWEEP_CHUNK_CELLS = 2 ** 21
+
+
 def cmd_sweep_epsilon(args) -> int:
+    if not args.eps_step > 0:
+        raise DataError(f"--eps-step must be positive, got {args.eps_step!r}")
+    if args.eps_min > args.eps_max:
+        raise DataError(f"--eps-min {args.eps_min!r} exceeds --eps-max "
+                        f"{args.eps_max!r}")
     grid = np.arange(args.eps_min, args.eps_max + args.eps_step / 2,
                      args.eps_step)
     spec = EmbeddingSpec(ell=args.ell, m_len=args.m + 1, tau=args.tau_min)
     taus = range(args.tau_min, args.tau_max + 1)
-    seeds = np.random.SeedSequence(args.seed).spawn(len(grid))
-
-    def run(job):
-        eps, seed = job
-        children = seed.spawn(3)
-        cfg = LatticeConfig(
+    children = [seed.spawn(3)
+                for seed in np.random.SeedSequence(args.seed).spawn(len(grid))]
+    configs = [
+        LatticeConfig(
             n_maps=args.maps, epsilon=float(eps), n_samples=args.n,
             transient=args.transient,
-            seed=int(children[0].generate_state(1)[0]),
+            seed=int(kids[0].generate_state(1)[0]),
             boundary=args.boundary,
         )
-        data = generate_lattice(cfg)
+        for eps, kids in zip(grid, children)
+    ]
+
+    def run(job):
+        eps, data, kids = job
         x1 = quantize_extrema(data[:, 0])
         x2 = quantize_extrema(data[:, 1])
         fwd, rev = (
@@ -220,17 +239,25 @@ def cmd_sweep_epsilon(args) -> int:
                 tol=args.tol,
             ).relation
             for src, dst, names, sseed in (
-                (x1, x2, ("X1", "X2"), children[1]),
-                (x2, x1, ("X2", "X1"), children[2]),
+                (x1, x2, ("X1", "X2"), kids[1]),
+                (x2, x1, ("X2", "X1"), kids[2]),
             )
         )
         return [_fmt(eps), _fmt(fwd.capacity_bound_bits),
                 _fmt(rev.capacity_bound_bits), _fmt(fwd.p_value),
                 _fmt(rev.p_value), fwd.tau_star, rev.tau_star]
 
+    # Each chunk's lattices are stepped together on this thread, keeping
+    # maps 0 and 1 only; the workers quantize and analyse them.  A chunk is
+    # referenced only by its jobs, so it is freed before the next is stepped.
+    chunk = max(1, _SWEEP_CHUNK_CELLS // (2 * args.n))
+    rows = []
     with ThreadPoolExecutor(max_workers=max_workers()) as pool:
-        rows = sorted(pool.map(run, zip(grid, seeds)),
-                      key=lambda row: float(row[0]))
+        for start in range(0, len(grid), chunk):
+            part = slice(start, start + chunk)
+            rows += pool.map(run, zip(grid[part],
+                                      step_lattices(configs[part], maps=2),
+                                      children[part]))
     header = ["epsilon", "capacity_fwd", "capacity_rev", "p_fwd", "p_rev",
               "tau_fwd", "tau_rev"]
     _write_csv(args.output, header, rows)

@@ -3,7 +3,9 @@
 The lattice iterates x^m_{n+1} = f(eps * x^{m-1}_n + (1 - eps) * x^m_n) with
 the Ulam map f(x) = 2 - x^2, whose invariant interval is [-2, 2].  With the
 default free-first-map boundary, map 0 evolves uncoupled and information can
-only flow toward higher map indices.
+only flow toward higher map indices.  ``step_lattices`` iterates several
+lattices as one state; a coupling sweep steps its lattices together that way
+and keeps only maps 0 and 1, the pair it analyses.
 """
 from __future__ import annotations
 
@@ -41,26 +43,56 @@ def _ulam(x: np.ndarray) -> np.ndarray:
     return 2.0 - x * x
 
 
-def generate_lattice(cfg: LatticeConfig) -> np.ndarray:
-    """Iterate the lattice; returns an array of shape (n_samples, n_maps)."""
-    rng = np.random.default_rng(cfg.seed)
-    state = rng.uniform(-2.0, 2.0, cfg.n_maps)
+def step_lattices(configs, maps: int | None = None) -> np.ndarray:
+    """Iterate several lattices together, recording their first ``maps`` maps.
+
+    The lattices may differ in epsilon, seed and boundary but must share
+    n_maps, n_samples and transient.  They are stepped as one flat state with
+    the same elementwise update, so each value is bit-identical to iterating
+    that lattice alone.  Returns shape (len(configs), n_samples, maps); maps
+    defaults to all of them.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("need at least one lattice")
+    n_maps, n_samples, transient = (
+        configs[0].n_maps, configs[0].n_samples, configs[0].transient)
+    if any((c.n_maps, c.n_samples, c.transient)
+           != (n_maps, n_samples, transient) for c in configs):
+        raise ValueError("lattices stepped together must share n_maps, "
+                         "n_samples and transient")
+    maps = n_maps if maps is None else maps
+    if not 1 <= maps <= n_maps:
+        raise ValueError(f"maps must lie in [1, {n_maps}]")
+    n_lat = len(configs)
+    # Map-major layout: state[m * n_lat + k] is map m of lattice k, so the
+    # recorded maps of every lattice are one leading slice of the state.
+    state = np.column_stack([
+        np.random.default_rng(cfg.seed).uniform(-2.0, 2.0, n_maps)
+        for cfg in configs
+    ]).ravel()
     # The Ulam map has fixed points at 1 and -2; nudge exact hits off them.
     for fp in (1.0, -2.0):
         state[state == fp] += 1e-9
-    out = np.empty((cfg.n_samples, cfg.n_maps))
-    # x_i <- f(w_i x_{i-1} + (1 - w_i) x_i) with periodic left neighbours;
-    # under the free boundary map 0 gets weight 0 and so runs uncoupled.
-    left = np.roll(np.arange(cfg.n_maps), 1)
-    weight = np.full(cfg.n_maps, cfg.epsilon)
-    if cfg.boundary == "free-first-map":
-        weight[0] = 0.0
+    # x_i <- f(w_i x_{i-1} + (1 - w_i) x_i) with periodic left neighbours
+    # within each lattice; under the free boundary map 0 gets weight 0 and
+    # so runs uncoupled.
+    left = np.roll(np.arange(state.size), n_lat)
+    weight = np.tile([cfg.epsilon for cfg in configs], n_maps)
+    weight[:n_lat][[cfg.boundary == "free-first-map" for cfg in configs]] = 0.0
     keep = 1.0 - weight
-    for step in range(cfg.transient + cfg.n_samples):
+    head = maps * n_lat
+    out = np.empty((n_samples, head))
+    for step in range(-transient, n_samples):
         state = _ulam(weight * state[left] + keep * state)
-        if step >= cfg.transient:
-            out[step - cfg.transient] = state
-    return out
+        if step >= 0:
+            out[step] = state[:head]
+    return out.reshape(n_samples, maps, n_lat).transpose(2, 0, 1)
+
+
+def generate_lattice(cfg: LatticeConfig) -> np.ndarray:
+    """Iterate the lattice; returns an array of shape (n_samples, n_maps)."""
+    return step_lattices([cfg])[0]
 
 
 def quantize_extrema(series) -> np.ndarray:

@@ -201,7 +201,27 @@ class TestSweepEpsilon:
         assert "tol must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_rows_are_analyze_pair_of_seeded_lattices(self, tmp_path):
+    @pytest.mark.parametrize("lo, hi, step, option", [
+        ("0.4", "0.6", "0", "--eps-step"),
+        ("0.4", "0.6", "-0.1", "--eps-step"),
+        ("0.6", "0.4", "0.1", "--eps-min"),
+    ], ids=["zero-step", "negative-step", "min-above-max"])
+    def test_bad_grid_is_data_error(self, tmp_path, capsys, lo, hi, step,
+                                    option):
+        out = tmp_path / "sweep.csv"
+        code = run_cli([
+            "sweep-epsilon", "--eps-min", lo, "--eps-max", hi,
+            "--eps-step", step, "--maps", "5", "--n", "1000",
+            "--transient", "100", "--tau-max", "2", "--surrogates", "19",
+            "--alpha", "0.05", "--output", str(out),
+        ])
+        assert code == 3
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rows_are_analyze_pair_of_seeded_lattices(self, tmp_path,
+                                                      monkeypatch):
+        import tetensor.cli
         from tetensor.estimation import EmbeddingSpec
         from tetensor.pipeline import analyze_pair
         from tetensor.significance import SurrogateConfig
@@ -211,15 +231,23 @@ class TestSweepEpsilon:
             quantize_extrema,
         )
 
-        out = tmp_path / "sweep.csv"
-        grid = [0.4, 0.6]
-        code = run_cli([
+        grid = [0.4, 0.5, 0.6]
+        argv = [
             "sweep-epsilon", "--eps-min", "0.4", "--eps-max", "0.6",
-            "--eps-step", "0.2", "--maps", "5", "--n", "4000",
+            "--eps-step", "0.1", "--maps", "5", "--n", "4000",
             "--transient", "500", "--tau-max", "4", "--surrogates", "39",
-            "--alpha", "0.05", "--seed", "7", "--output", str(out),
-        ])
-        assert code == 0
+            "--alpha", "0.05", "--seed", "7",
+        ]
+        out = tmp_path / "sweep.csv"
+        assert run_cli([*argv, "--output", str(out)]) == 0
+        # A chunk budget of one or two lattices spreads the grid over three
+        # or two chunks; the CSV must not change.
+        for per_chunk in (1, 2):
+            monkeypatch.setattr(tetensor.cli, "_SWEEP_CHUNK_CELLS",
+                                per_chunk * 2 * 4000)
+            chunked = tmp_path / f"sweep-{per_chunk}.csv"
+            assert run_cli([*argv, "--output", str(chunked)]) == 0
+            assert chunked.read_bytes() == out.read_bytes()
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(grid)

@@ -10,6 +10,7 @@ from tetensor.simulate import (
     generate_lattice,
     generate_triad,
     quantize_extrema,
+    step_lattices,
 )
 
 
@@ -107,6 +108,31 @@ class TestLatticeStep:
             cfg = LatticeConfig(n_maps=maps, epsilon=eps, n_samples=400,
                                 transient=100, seed=seed, boundary=boundary)
             assert np.array_equal(generate_lattice(cfg), _rolled_lattice(cfg))
+        # Several lattices stepped as one state, with the other boundary
+        # mixed in, match each lattice stepped alone.
+        other = "periodic" if boundary == "free-first-map" else \
+            "free-first-map"
+        cfgs = [LatticeConfig(n_maps=6, epsilon=eps, n_samples=400,
+                              transient=100, seed=seed, boundary=bnd)
+                for eps, seed, bnd in ((0.0, 11, boundary), (1.0, 12, boundary),
+                                       (0.37, 13, other), (0.82, 14, boundary),
+                                       (0.5, 15, other))]
+        for kept in (2, 6):
+            batch = step_lattices(cfgs, maps=kept)
+            assert batch.shape == (len(cfgs), 400, kept)
+            for cfg, data in zip(cfgs, batch):
+                assert np.array_equal(data, _rolled_lattice(cfg)[:, :kept])
+
+    def test_batch_validation(self):
+        cfg = LatticeConfig(n_maps=3, n_samples=50, transient=10)
+        with pytest.raises(ValueError):
+            step_lattices([])
+        with pytest.raises(ValueError):
+            step_lattices([cfg, LatticeConfig(n_maps=3, n_samples=60,
+                                              transient=10)])
+        for kept in (0, 4):
+            with pytest.raises(ValueError):
+                step_lattices([cfg], maps=kept)
 
 
 class TestQuantizeExtrema:
