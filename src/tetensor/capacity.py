@@ -1,19 +1,22 @@
 """Channel capacity of discrete memoryless channels and the TE upper bound.
 
-Capacity is computed by alternating maximization (Blahut-Arimoto) with a
+Capacity is computed by damped Newton steps on the input simplex, with a
 certified optimality gap: at every iterate the per-input information density
 ``D_i = sum_j A_ij log2(A_ij / q_j)`` sandwiches the capacity between
 ``sum_i r_i D_i`` and ``max_i D_i`` (Kuhn-Tucker conditions), so the reported
-``gap_bound`` is a rigorous bound on the distance to the true capacity.
+``gap_bound`` is a rigorous bound on the distance to the true capacity.  A
+Blahut-Arimoto update (Blahut 1972; Arimoto 1972), the method the solver is
+named after, remains its fallback step.
 
 One solver, :func:`_blahut_arimoto_batch`, runs the iteration for any number
 of channels at once: every subchannel of a stack of count tensors, so a
 whole surrogate null in one call.  Its sums over rows and outputs are
-running sums in index order, never ``@``: BLAS matrix-vector products round
-differently from an ordered sum (in about half of random 3x3 channels), and
-with ordered sums a channel's bits do not depend on how many channels share
-the batch or where it sits, so a stack scores exactly as its tensors do one
-at a time.
+running sums in index order, and its Newton systems are solved by
+elimination in index order, never ``@`` or ``np.linalg``: BLAS products
+round differently from an ordered sum (in about half of random 3x3
+channels), and with ordered sums a channel's bits do not depend on how many
+channels share the batch or where it sits, so a stack scores exactly as its
+tensors do one at a time.
 """
 from __future__ import annotations
 
@@ -96,19 +99,120 @@ def _check_solver(tol: float, max_iter: int) -> None:
         raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
 
 
+_LN2 = float(np.log(2.0))
+
+
+def _densities(w, wt, wlogw, r):
+    """Output mixture ``q = r W``, floored at 1e-300, and the Kuhn-Tucker
+    information density ``d_i = sum_j w_ij log2(w_ij / q_j)`` of each row."""
+    q = np.maximum(_last(r[:, None, :] * wt), 1e-300)
+    return q, wlogw - _last(w * np.log2(q)[:, None, :])
+
+
+def _newton_direction(w, q, d, r, free):
+    """Newton direction of I(r) on the face of the simplex the ``free`` rows
+    span, for K channels at once.
+
+    On the face, with p the heaviest free row, dr_p = -sum of the other
+    free rows' steps u.  The gradient of I in u is d_i - d_p and the
+    negative Hessian is ``V diag(1/q) V^T / ln 2`` with rows
+    ``V_i = w_i - w_p``, formed from the differences so that nearly equal
+    rows keep their precision.  A ridge of 1e-10 of the diagonal keeps the
+    system regular where the Hessian is singular on the face (more free
+    rows than outputs): there I is linear and the step runs to the edge of
+    the simplex.  The system is solved by elimination in index order; a
+    zero pivot (a row equal to row p) drops its row from the step.
+    """
+    k, n, _ = w.shape
+    ks = np.arange(k)
+    p = np.argmax(np.where(free, r, -1.0), axis=1)
+    move = free.copy()
+    move[ks, p] = False
+    v = np.where(move[..., None], w - w[ks, p][:, None, :], 0.0)
+    h = _last(v[:, :, None, :] * (v / q[:, None, :])[:, None, :, :])
+    ridge = np.where(move, 1e-10 * np.diagonal(h, axis1=1, axis2=2), 1.0)
+    h = h + ridge[:, :, None] * np.eye(n)
+    b = np.where(move, d - d[ks, p][:, None], 0.0) * _LN2
+    pivots, dropped = [], []
+    for j in range(n):
+        pivot = h[:, j, j]
+        drop = pivot <= 0.0
+        pivot = np.where(drop, 1.0, pivot)
+        f = np.where(drop[:, None], 0.0, h[:, :, j] / pivot[:, None])
+        f[:, :j + 1] = 0.0
+        h = h - f[:, :, None] * h[:, None, j, :]
+        b = b - f * b[:, j, None]
+        pivots.append(pivot)
+        dropped.append(drop)
+    u = np.zeros((k, n))
+    for j in reversed(range(n)):
+        rest = b[:, j]
+        if j + 1 < n:
+            rest = rest - _last(h[:, j, j + 1:] * u[:, j + 1:])
+        u[:, j] = np.where(dropped[j], 0.0, rest / pivots[j])
+    u[ks, p] = -_last(u)
+    return u
+
+
+def _line_search(w, wt, wlogw, r, dr, cap, slack):
+    """Step from ``r`` along ``dr`` inside the simplex.
+
+    The first trial is the full step or, if shorter, the step at which the
+    first row reaches zero weight; that row is then set to exactly zero and
+    leaves the face.  The step is halved until I does not fall by more than
+    ``slack``.  A row that alone reaches some output never limits the step:
+    its weight is kept at no less than a hundredth of what it was, as a
+    starved output would make the row's density infinite and a Newton step
+    from zero weight negligible.  Returns the new weights and the mask of
+    channels where 30 halvings found no step.
+    """
+    ks = np.arange(len(r))
+    reach = (r > 0)[..., None] & (w > 0)
+    sole = (reach & (reach.sum(axis=1) == 1)[:, None, :]).any(axis=2)
+    shrink = (dr < 0) & (r > 0) & ~sole
+    ratio = np.where(shrink, r / np.where(shrink, -dr, 1.0), np.inf)
+    block = np.argmin(ratio, axis=1)
+    limit = ratio[ks, block]
+    floor = np.where(sole, 0.01 * r, 0.0)
+    alpha = np.minimum(limit, 1.0)
+    new, todo = r.copy(), ks
+    for _ in range(30):
+        t = np.maximum(r[todo] + alpha[todo, None] * dr[todo], floor[todo])
+        at = np.flatnonzero(alpha[todo] == limit[todo])
+        t[at, block[todo][at]] = 0.0
+        t = t / _last(t)[:, None]
+        _, dt = _densities(w[todo], wt[todo], wlogw[todo], t)
+        ok = _last(t * dt) >= cap[todo] - slack[todo]
+        new[todo[ok]] = t[ok]
+        todo = todo[~ok]
+        if not len(todo):
+            break
+        alpha[todo] = 0.5 * alpha[todo]
+    failed = np.zeros(len(r), dtype=bool)
+    failed[todo] = True
+    return new, failed
+
+
 def _blahut_arimoto_batch(w: np.ndarray, on: np.ndarray, tol: float,
                           max_iter: int):
-    """Blahut-Arimoto on K channels at once.
+    """Capacity of K channels at once by damped Newton steps on the simplex.
 
     ``w`` is a (K, n, m) stack of stochastic rows with inactive rows zero
     (outputs no row reaches may stay as zero columns) and ``on`` the (K, n)
-    mask of active rows.  Each channel stops at the first iterate whose
-    Kuhn-Tucker gap is at most ``tol`` and keeps that iterate's weights; the
-    rest run to ``max_iter`` and keep the last update.  Stopped channels
-    leave the working arrays.  Every sum is in index order (:func:`_last`),
-    so a channel's result does not depend on K or on its place in the batch.
-    Returns arrays ``(bits, weights, iterations, converged, gap)``, weights
-    of shape (K, n) and zero on inactive rows.
+    mask of active rows.  From the uniform input, each channel stops at the
+    first iterate whose Kuhn-Tucker gap is at most ``tol`` and keeps that
+    iterate's weights.  Otherwise it takes a Newton
+    step (:func:`_newton_direction`) on the face of the rows with positive
+    weight, clipped to the simplex and backtracked on I
+    (:func:`_line_search`); where that finds no step, a Blahut-Arimoto
+    update is taken instead.  A row at zero weight rejoins the face only
+    once the face is solved to ``tol``, and only the row of largest density,
+    which then exceeds the face's value by more than ``tol``.  Channels
+    still open after ``max_iter`` iterates keep the last one.  Stopped
+    channels leave the working arrays, and every sum is in index order
+    (:func:`_last`), so a channel's result does not depend on K or on its
+    place in the batch.  Returns arrays ``(bits, weights, iterations,
+    converged, gap)``, weights of shape (K, n) and zero on inactive rows.
     """
     _check_solver(tol, max_iter)
     n_on = on.sum(axis=1)
@@ -123,14 +227,14 @@ def _blahut_arimoto_batch(w: np.ndarray, on: np.ndarray, tol: float,
     r = np.where(on[idx], 1.0 / n_on[idx, None], 0.0)
     # sum_j w_ij log2 w_ij, once per channel.
     wlogw = _last(np.where(w > 0, w * np.log2(np.where(w > 0, w, 1.0)), 0.0))
+    # How far I may fall in a step: rounding in sums of terms of this size.
+    slack = 1e-14 * (1.0 - wlogw.min(axis=1))
     cap, gap = np.zeros(len(idx)), np.full(len(idx), np.inf)
     iteration = 0
     for iteration in range(1, max_iter + 1):
         if not len(idx):
             break
-        q = np.maximum(_last(r[:, None, :] * wt), 1e-300)
-        # Kuhn-Tucker information density per input symbol.
-        d = wlogw - _last(w * np.log2(q)[:, None, :])
+        q, d = _densities(w, wt, wlogw, r)
         upper = (d + off).max(axis=1)
         cap = _last(r * d)
         gap = upper - cap
@@ -141,18 +245,28 @@ def _blahut_arimoto_batch(w: np.ndarray, on: np.ndarray, tol: float,
             gaps[stop], iters[stop] = gap[done], iteration
             keep = ~done
             idx, w, wt, off = idx[keep], w[keep], wt[keep], off[keep]
-            r, d, upper, wlogw = r[keep], d[keep], upper[keep], wlogw[keep]
+            r, slack = r[keep], slack[keep]
+            q, d, upper, wlogw = q[keep], d[keep], upper[keep], wlogw[keep]
             cap, gap = cap[keep], gap[keep]
-        r = r * np.exp2(d - upper[:, None])
-        r = r / _last(r)[:, None]
+        if iteration == max_iter or not len(idx):
+            break
+        free = r > 0
+        solved = np.where(free, d, -np.inf).max(axis=1) - cap <= tol
+        enter = np.flatnonzero(solved)
+        free[enter, np.argmax(d + off, axis=1)[enter]] = True
+        dr = _newton_direction(w, q, d, r, free)
+        r, failed = _line_search(w, wt, wlogw, r, dr, cap, slack)
+        if failed.any():
+            ba = r[failed] * np.exp2(d[failed] - upper[failed, None])
+            r[failed] = ba / _last(ba)[:, None]
     bits[idx], weights[idx], gaps[idx] = cap, r, gap
     iters[idx], converged[idx] = iteration, False
     return np.where(0.0 > bits, 0.0, bits), weights, iters, converged, gaps
 
 
 def _blahut_arimoto_rows(rows: np.ndarray, tol: float, max_iter: int):
-    """Blahut-Arimoto on stochastic rows, the batch of one channel; returns a
-    solver tuple."""
+    """The iterative solver on stochastic rows, the batch of one channel;
+    returns a solver tuple."""
     bits, weights, iters, converged, gap = _blahut_arimoto_batch(
         rows[None], np.ones((1, len(rows)), dtype=bool), tol, max_iter)
     return (float(bits[0]), weights[0], int(iters[0]), bool(converged[0]),
@@ -161,7 +275,12 @@ def _blahut_arimoto_rows(rows: np.ndarray, tol: float, max_iter: int):
 
 def blahut_arimoto(channel, tol: float = 1e-9,
                    max_iter: int = 10_000) -> CapacityResult:
-    """Capacity (bits) and achieving input distribution of a DMC."""
+    """Capacity (bits) and achieving input distribution of a DMC.
+
+    Runs the damped Newton iteration of :func:`_blahut_arimoto_batch`, whose
+    fallback step is the Blahut-Arimoto update; ``iterations`` counts its
+    iterates.
+    """
     rows, active, input_alphabet = _channel_matrix(channel)
     return _result(_blahut_arimoto_rows(_stochastic(rows), tol, max_iter),
                    active, input_alphabet)
@@ -325,8 +444,8 @@ def _subchannel_capacities(counts, tol: float, max_iter: int,
     takes for its active rows, and each path runs once over the whole stack:
     the binary-output subchannels (two rows with two outputs, or more rows
     with two live outputs and distinct extremes) in one closed form, the
-    ones with three or more rows and live outputs in one Blahut-Arimoto
-    batch; zero-capacity ones need no solve, and two-row ones with more
+    ones with three or more rows and live outputs in one batch of the
+    iterative solver; zero-capacity ones need no solve, and two-row ones with more
     outputs are bisected one at a time.
     """
     _check_solver(tol, max_iter)

@@ -10,6 +10,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -55,31 +56,17 @@ def _fmt(value: float) -> str:
 
 
 def _read_csv(path: str):
-    """Returns (column names, columns as float arrays)."""
+    """Returns (column names, columns as float arrays).
+
+    One bulk ``np.loadtxt`` pass reads a well-formed file.  A file it
+    rejects, or one where it read fewer rows than the file has lines (it
+    skips blank lines), is read again row by row, which names the first bad
+    line.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            columns = [[] for _ in header]
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path}: line {lineno}: expected {len(header)} "
-                        f"fields, got {len(row)}"
-                    )
-                for col, cell in zip(columns, row):
-                    try:
-                        col.append(float(cell))
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: line {lineno}: not a number: {cell!r}"
-                        ) from None
+        header, arrays = _read_csv_bulk(path) or _read_csv_rows(path)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    arrays = [np.asarray(col) for col in columns]
     for name, arr in zip(header, arrays):
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
@@ -88,6 +75,50 @@ def _read_csv(path: str):
                 f"not finite: {float(arr[bad[0]])!r}"
             )
     return header, arrays
+
+
+def _read_csv_bulk(path: str):
+    """(header, columns) by ``np.loadtxt``, or None where it cannot tell."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            n_rows = sum(1 for _ in fh)
+        if not header or not n_rows:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # "input contained no data"
+            table = np.loadtxt(path, delimiter=",", skiprows=1, dtype=float,
+                               ndmin=2, comments=None, encoding="utf-8")
+    except ValueError:
+        return None
+    if table.shape != (n_rows, len(header)):
+        return None
+    return header, list(np.ascontiguousarray(table.T))
+
+
+def _read_csv_rows(path: str):
+    """(header, columns) by ``float()`` on each cell in turn."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        columns = [[] for _ in header]
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: line {lineno}: expected {len(header)} "
+                    f"fields, got {len(row)}"
+                )
+            for col, cell in zip(columns, row):
+                try:
+                    col.append(float(cell))
+                except ValueError:
+                    raise DataError(
+                        f"{path}: line {lineno}: not a number: {cell!r}"
+                    ) from None
+    return header, [np.asarray(col) for col in columns]
 
 
 def cmd_simulate(args) -> int:

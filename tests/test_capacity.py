@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from tetensor import capacity
 from tetensor.capacity import (
     blahut_arimoto,
     capacity_bound_from_counts,
@@ -192,7 +193,17 @@ class TestUnconvergedBoundWarning:
         return analyze_pair(x, y, "X", "Y", EmbeddingSpec(m_len=1), [1],
                             surrogates=cfg, tol=tol)
 
-    def test_tight_tol_logs_one_warning(self, caplog):
+    def test_tight_tol_logs_one_warning(self, caplog, monkeypatch):
+        # Every solve of the 3x3 subchannels reports itself unconverged,
+        # whatever steps the solver takes; its values and gaps stand.
+        solve = capacity._blahut_arimoto_batch
+
+        def unconverged(w, on, tol, max_iter):
+            bits, weights, iters, converged, gap = solve(w, on, tol,
+                                                         max_iter)
+            return bits, weights, iters, np.zeros_like(converged), gap
+
+        monkeypatch.setattr(capacity, "_blahut_arimoto_batch", unconverged)
         with caplog.at_level("WARNING", logger="tetensor"):
             res = self._analyze(1e-12)
         per = te_capacity_bound(res.relation.tensors, tol=1e-12)[1]
@@ -209,3 +220,31 @@ class TestUnconvergedBoundWarning:
         with caplog.at_level("WARNING", logger="tetensor"):
             self._analyze(1e-3)
         assert not caplog.records
+
+
+class TestMultisymbolBoundsConverge:
+    """Both directions of a 3-symbol chain, the reverse one near
+    independence, get certified bounds at the default tolerance."""
+
+    @pytest.mark.parametrize("seed", [5, 7, 9])
+    def test_every_tau_star_subchannel_converges(self, seed, caplog):
+        from tetensor.pipeline import analyze_pair
+        from tetensor.significance import SurrogateConfig
+        from tetensor.simulate import generate_triad
+
+        data = generate_triad("chain", n_symbols=3, noise=0.2, n=20_000,
+                              seed=seed)
+        x, y = data.series["X"], data.series["Y"]
+        cfg = SurrogateConfig(n_surrogates=19, alpha=0.05, seed=seed)
+        with caplog.at_level("WARNING", logger="tetensor"):
+            forward, reverse = (
+                analyze_pair(a, b, sa, sb, EmbeddingSpec(m_len=1), [1],
+                             surrogates=cfg, tol=1e-9)
+                for a, b, sa, sb in ((x, y, "X", "Y"), (y, x, "Y", "X")))
+        assert not caplog.records
+        for res in (forward, reverse):
+            per = te_capacity_bound(res.relation.tensors, tol=1e-9)[1]
+            assert all(r.converged and r.gap_bound <= 1e-9
+                       for r in per.values())
+        assert forward.relation.tau_star == 1
+        assert forward.relation.p_value == 1 / 20

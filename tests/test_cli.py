@@ -168,6 +168,48 @@ class TestAnalyze:
         assert exc.value.code == 2
 
 
+class TestCsvRead:
+    """The bulk read and the row-wise pass it falls back to."""
+
+    def _analyze(self, path):
+        return run_cli(["analyze", "--input", str(path), "--pre-quantized"])
+
+    def test_blank_line_names_its_line(self, tmp_path, capsys):
+        src = tmp_path / "blank.csv"
+        src.write_text("A,B\n1,0\n\n0,1\n")
+        assert self._analyze(src) == 3
+        assert "line 3: expected 2 fields, got 0" in capsys.readouterr().err
+
+    def test_comment_sign_is_not_a_number(self, tmp_path, capsys):
+        src = tmp_path / "hash.csv"
+        src.write_text("A,B\n1,0\n#3,1\n")
+        assert self._analyze(src) == 3
+        assert "line 3: not a number: '#3'" in capsys.readouterr().err
+
+    def test_quoted_cell_parses(self, tmp_path):
+        from tetensor.cli import _read_csv
+
+        src = tmp_path / "quoted.csv"
+        src.write_text('A,B\n"1",0\n2,"3"\n')
+        header, (a, b) = _read_csv(str(src))
+        assert header == ["A", "B"]
+        assert a.tolist() == [1.0, 2.0] and b.tolist() == [0.0, 3.0]
+
+    def test_bulk_read_equals_row_wise_read(self, tmp_path):
+        from tetensor.cli import _read_csv_bulk, _read_csv_rows
+
+        out = tmp_path / "lat.csv"
+        assert run_cli(["simulate", "--n", "2000", "--transient", "100",
+                        "--seed", "5", "--output", str(out)]) == 0
+        bulk = _read_csv_bulk(str(out))
+        assert bulk is not None
+        header, columns = _read_csv_rows(str(out))
+        assert bulk[0] == header
+        for fast, slow in zip(bulk[1], columns):
+            assert fast.flags.c_contiguous
+            assert np.array_equal(fast, slow)
+
+
 class TestSweepEpsilon:
     def test_tiny_sweep_schema(self, tmp_path):
         out = tmp_path / "sweep.csv"
