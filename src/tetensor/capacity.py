@@ -201,8 +201,8 @@ def _blahut_arimoto_batch(w: np.ndarray, on: np.ndarray, tol: float,
     (outputs no row reaches may stay as zero columns) and ``on`` the (K, n)
     mask of active rows.  From the uniform input, each channel stops at the
     first iterate whose Kuhn-Tucker gap is at most ``tol`` and keeps that
-    iterate's weights.  Otherwise it takes a Newton
-    step (:func:`_newton_direction`) on the face of the rows with positive
+    iterate's weights.  Otherwise it takes a Newton step
+    (:func:`_newton_direction`) on the face of the rows with positive
     weight, clipped to the simplex and backtracked on I
     (:func:`_line_search`); where that finds no step, a Blahut-Arimoto
     update is taken instead.  A row at zero weight rejoins the face only
