@@ -8,8 +8,9 @@ count.
 A stack of count tensors (L, g, i, j) must score exactly as its tensors do
 one at a time, the bound must agree with Blahut-Arimoto, and TE must lie
 between zero and the bound whatever the symbol labels.  A batch of channels
-must solve exactly as its channels do one at a time, and agree with the
-textbook matrix-product form of the iteration.
+must solve exactly as its channels do one at a time, converge where the
+textbook Blahut-Arimoto iteration stalls, and land inside the interval that
+iteration certifies.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -240,7 +241,7 @@ class TestBatchedBlahutArimoto:
         bits, _, iters, converged, gap = _blahut_arimoto_batch(
             w, np.ones((12, 3), dtype=bool), 1e-9, 10_000)
         reference = [_matmul_blahut_arimoto(c, 1e-9, 10_000) for c in w]
-        assert converged.all() and (gap <= 1e-9).all()
+        assert converged.all() and (gap <= 1e-9).all() and (iters <= 10).all()
         assert [ref[4] for ref in reference] == [False] * 6 + [True] * 6
         for k, (lower, upper, _, _, ref_converged) in enumerate(reference):
             if ref_converged:
@@ -271,9 +272,10 @@ def _random_channels(n_draws, seed=20):
 
 
 class TestSolverRegressions:
-    """Channels on which a Newton solver on the simplex can stall: an
-    optimum that drops an input of a near-uniform channel, and inputs that
-    alone reach an output, which must never be clipped to zero weight."""
+    """Channels on which a Newton solver on the simplex can stall: optima
+    that drop inputs of near-uniform channels, which rows may rejoin only
+    from a solved face, and inputs that alone reach an output, which must
+    never be clipped to zero weight."""
 
     # Reverse tau* subchannel of a 3-symbol chain (seed 9): the optimum
     # puts no weight on input 0.
@@ -285,6 +287,15 @@ class TestSolverRegressions:
     SPARSE = _channel([[0, 0, .0061, 0, .9939],
                        [0, 0, .0002, .9998, 0],
                        [.0267, 0, 0, .3327, .6406]])
+
+    # Eight nearly equal binary rows: the optimum keeps only the two
+    # extremes, and a solver that lets rows rejoin before the face is
+    # solved keeps pulling weight back onto the others.
+    NEAR_EQUAL_BINARY = np.array([
+        [a, 1 - a] for a in (0.016719602252850983, 0.017084591840391235,
+                             0.016820339530003864, 0.01649734436431125,
+                             0.017192985804073257, 0.01703164572164057,
+                             0.017183266911961585, 0.016454484316033184)])
 
     @staticmethod
     def _check(rows, tol=1e-9, max_iter=10_000):
@@ -305,6 +316,11 @@ class TestSolverRegressions:
         weights, iters, ref_converged = self._check(self.SPARSE)
         assert ref_converged
         assert (weights > 0).all() and iters <= 20
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_nearly_equal_rows_keep_the_extremes(self, tol):
+        weights, iters, _ = self._check(self.NEAR_EQUAL_BINARY, tol=tol)
+        assert np.flatnonzero(weights).tolist() == [4, 7] and iters <= 12
 
     def test_random_sparse_and_duplicate_row_channels(self):
         solved = 0
