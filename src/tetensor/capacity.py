@@ -193,6 +193,11 @@ def _line_search(w, wt, wlogw, r, dr, cap, slack):
     return new, failed
 
 
+# A channel whose gap is within rounding (``slack``) yet above ``tol`` stops,
+# unconverged, once its gap has set no new low for this many iterates.
+_STALL_ITERATES = 20
+
+
 def _blahut_arimoto_batch(w: np.ndarray, on: np.ndarray, tol: float,
                           max_iter: int):
     """Capacity of K channels at once by damped Newton steps on the simplex.
@@ -206,9 +211,12 @@ def _blahut_arimoto_batch(w: np.ndarray, on: np.ndarray, tol: float,
     weight, clipped to the simplex and backtracked on I
     (:func:`_line_search`); where that finds no step, a Blahut-Arimoto
     update is taken instead.  A row at zero weight rejoins the face only
-    once the face is solved to ``tol``, and only the row of largest density,
-    which then exceeds the face's value by more than ``tol``.  Channels
-    still open after ``max_iter`` iterates keep the last one.  Stopped
+    once the face is solved to ``tol`` (or to ``slack``, the rounding in I,
+    if that is larger), and only the row of largest density, which then
+    exceeds the face's value by more than ``tol``.  A ``tol`` below rounding
+    may never be met: a channel whose gap is at most ``slack`` and has set
+    no new low for ``_STALL_ITERATES`` iterates stops there, unconverged.
+    Channels still open after ``max_iter`` iterates keep the last one.  Stopped
     channels leave the working arrays, and every sum is in index order
     (:func:`_last`), so a channel's result does not depend on K or on its
     place in the batch.  Returns arrays ``(bits, weights, iterations,
@@ -230,6 +238,8 @@ def _blahut_arimoto_batch(w: np.ndarray, on: np.ndarray, tol: float,
     # How far I may fall in a step: rounding in sums of terms of this size.
     slack = 1e-14 * (1.0 - wlogw.min(axis=1))
     cap, gap = np.zeros(len(idx)), np.full(len(idx), np.inf)
+    # Lowest gap so far and the iterates since it was set.
+    low, stale = np.full(len(idx), np.inf), np.zeros(len(idx), dtype=int)
     iteration = 0
     for iteration in range(1, max_iter + 1):
         if not len(idx):
@@ -238,20 +248,25 @@ def _blahut_arimoto_batch(w: np.ndarray, on: np.ndarray, tol: float,
         upper = (d + off).max(axis=1)
         cap = _last(r * d)
         gap = upper - cap
+        stale = np.where(gap < low, 0, stale + 1)
+        low = np.where(gap < low, gap, low)
         done = gap <= tol
-        if done.any():
-            stop = idx[done]
-            bits[stop], weights[stop] = cap[done], r[done]
-            gaps[stop], iters[stop] = gap[done], iteration
-            keep = ~done
+        ends = done | ((gap <= slack) & (stale >= _STALL_ITERATES))
+        if ends.any():
+            stop = idx[ends]
+            bits[stop], weights[stop] = cap[ends], r[ends]
+            gaps[stop], iters[stop] = gap[ends], iteration
+            converged[stop] = done[ends]
+            keep = ~ends
             idx, w, wt, off = idx[keep], w[keep], wt[keep], off[keep]
-            r, slack = r[keep], slack[keep]
+            r, slack, low, stale = r[keep], slack[keep], low[keep], stale[keep]
             q, d, upper, wlogw = q[keep], d[keep], upper[keep], wlogw[keep]
             cap, gap = cap[keep], gap[keep]
         if iteration == max_iter or not len(idx):
             break
         free = r > 0
-        solved = np.where(free, d, -np.inf).max(axis=1) - cap <= tol
+        solved = (np.where(free, d, -np.inf).max(axis=1) - cap
+                  <= np.maximum(tol, slack))
         enter = np.flatnonzero(solved)
         free[enter, np.argmax(d + off, axis=1)[enter]] = True
         dr = _newton_direction(w, q, d, r, free)

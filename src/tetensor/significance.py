@@ -13,9 +13,11 @@ tensors of those reads come from one of two counters, both exact: the pair
 builder's add-and-bincount per read, or FFT cross-correlations that count
 every lag of one (destination cell, source code) pair at once.  The FFT
 counter correlates every source code but the last, whose counts follow from
-the destination cells' totals, and checks each correlated code's total at
-every lag.  A cost rule (:func:`_fft_is_cheaper`) picks the cheaper counter
-per call.
+the destination cells' totals, transforms each destination half once per
+correlated code, packs two destination cells into each destination transform
+where float64 keeps the packed counts exact, and checks each correlated
+code's total at every lag.  A cost rule (:func:`_fft_is_cheaper`) picks the
+cheaper counter per call.
 """
 from __future__ import annotations
 
@@ -62,15 +64,16 @@ def acausal_mirror(tau_range) -> tuple:
 _CHUNK_CELLS = 2048
 
 # The counting cost rule.  Add-and-bincount reads every sample once per lag;
-# the FFT counter makes (n_i - 1)(2 + 8 n_dest) transforms of length M ~ n
-# (see _ScanEvaluator._fft_counts), whatever the number of lags.
-# Measured on a 2-core x86-64 host (Python 3.11, numpy 2.4.6) with both
-# counters on the 7 800 lags of a 100k-sample binary lattice pair (16 cells,
-# 102 transforms), medians of five runs: 2.7 ns per sample per lag for
-# bincount, and 1.12 ns per M log2 M point of each transform for the FFT
-# counter, its gathers and checks included.
-_NS_PER_SAMPLE_READ = 2.7
-_NS_PER_FFT_POINT = 1.12
+# the FFT counter makes (n_i - 1)(2 + 6 ceil(n_dest / pack)) transforms of
+# length M ~ n, with pack = 2 destination cells per transform up to about
+# 300k samples and 1 beyond (see _ScanEvaluator._fft_counts), whatever the
+# number of lags.  Measured on a 2-core x86-64 host (Python 3.11, numpy
+# 2.4.6) with both counters on the 7 800 lags of a 100k-sample binary
+# lattice pair (16 cells, 42 transforms), medians of eight runs: 2.3 ns per
+# sample per lag for bincount, and 1.04 ns per M log2 M point of each
+# transform for the FFT counter, its gathers and checks included.
+_NS_PER_SAMPLE_READ = 2.3
+_NS_PER_FFT_POINT = 1.04
 # The FFT counter holds the int64 counts of every lag it reads at once (the
 # bincount counter one chunk of them); past this many cells it is not used.
 _TABLE_CELLS = 2 ** 18
@@ -102,6 +105,18 @@ def _fft_length(m: int) -> int:
     return best
 
 
+def _cells_per_transform(half_a: int, half_b: int, length: int) -> int:
+    """Destination cells the FFT counter packs into one transform: 2 where
+    the float64 error bound of a packed correlation, ``2**-52 log2(M) W
+    sqrt(half_a) half_b`` for halves of ``half_a`` and ``half_b`` samples,
+    transform length ``M`` and packing width ``W``, is below 1/16, else 1.
+    It is 2.7e-3 at 100k samples and passes 1/16 at about 300k."""
+    width = 1 << half_a.bit_length()
+    bound = (2.0 ** -52 * np.log2(length) * width * np.sqrt(half_a)
+             * half_b)
+    return 2 if bound < 1 / 16 else 1
+
+
 def _fft_is_cheaper(n_dest: int, n_i: int, reads: int, n: int,
                     n_samples: int) -> bool:
     """The cost rule: count ``reads`` lags of an ``n``-sample circular source
@@ -111,8 +126,10 @@ def _fft_is_cheaper(n_dest: int, n_i: int, reads: int, n: int,
     table of counts fits in ``_TABLE_CELLS``."""
     if reads * n_dest * n_i > _TABLE_CELLS:
         return False
-    length = _fft_length(-(-n_samples // 2) + -(-n // 2) - 1)
-    fft_ns = ((n_i - 1) * (2 + 8 * n_dest) * length * np.log2(length)
+    half_a, half_b = -(-n_samples // 2), -(-n // 2)
+    length = _fft_length(half_a + half_b - 1)
+    groups = -(-n_dest // _cells_per_transform(half_a, half_b, length))
+    fft_ns = ((n_i - 1) * (2 + 6 * groups) * length * np.log2(length)
               * _NS_PER_FFT_POINT)
     return fft_ns < reads * n_samples * _NS_PER_SAMPLE_READ
 
@@ -179,13 +196,13 @@ class _ScanEvaluator:
             best -= max(values[len(self.taus):])
         return best
 
-    def _lags(self, offsets) -> list:
+    def _lags(self, offsets) -> np.ndarray:
         """Code lag of each (offset, delay), delays varying fastest: at delay
         ``tau`` sample ``s`` meets the code at ``(s + loss - tau - offset)
         mod n``."""
-        n = len(self.xc)
-        return [(self.loss - tau - int(o)) % n for o in offsets
-                for tau in self.taus + self.ac_taus]
+        taus = np.array(self.taus + self.ac_taus, dtype=np.int64)
+        offsets = np.array(offsets, dtype=np.int64).reshape(-1, 1)
+        return ((self.loss - taus - offsets) % len(self.xc)).ravel()
 
     def _bincounts(self, code: np.ndarray, lags) -> np.ndarray:
         """Flat count tensor of circular ``code`` read at each lag over the
@@ -195,7 +212,7 @@ class _ScanEvaluator:
 
     def _fft_counts(self, lags) -> np.ndarray:
         """Flat count tensor of the evaluator's own code at each lag, from
-        cross-correlations of each destination cell with each source code.
+        cross-correlations of destination cells with each source code.
 
         With ``a = [base == (g, j)]`` (n_samples long) and ``b = [code == i]``
         (n long), the count at lag ``L`` is ``sum_s a[s] b[(s + L) mod n]``.
@@ -206,26 +223,43 @@ class _ScanEvaluator:
         ``k_q``) at lag ``L`` at correlation offset ``e = (s_p + L - k_q) mod
         n`` or ``e - n``, whichever lies in the pair's range.
 
+        Two destination cells share each destination transform: the
+        indicator ``[base == c1] + W [base == c2]``, with ``W`` the power of
+        two above the longest half of ``a``, correlates to ``count1 + W
+        count2``, and ``divmod`` by ``W`` splits the rounded value exactly,
+        since no count of one pair of halves reaches ``W``.  Packing is used
+        only where the float64 error bound of the packed correlation stays
+        far below 1/2 (:func:`_cells_per_transform`, up to about 300k
+        samples); an odd last cell goes alone.
+
         Only codes 0 .. n_i - 2 are correlated.  Every sample meets exactly
         one code, so the last code's count of cell (g, j) is the number of
         window samples in (g, j), a bincount of ``base``, less the other
-        codes' counts.  Each half of ``b`` is transformed once, and every
-        destination half is transformed against it: (n_i - 1)(2 + 8 n_dest)
-        transforms.  Every transform is written into one of three length-M
-        buffers (the source spectrum, the destination spectrum that becomes
-        the product, and the correlation), so no table of all n lags, and
-        no array of more than about n floats, is ever built; unsplit, the
-        transforms would be twice as long and raise the peak RSS of a
-        lattice pair job.
+        codes' counts.  For each correlated code both source halves are
+        transformed and kept, then each destination half is transformed once
+        and multiplied by both: (n_i - 1)(2 + 6 ceil(n_dest / pack))
+        transforms, 42 for a binary lattice pair with m_len 2 and 14 for a
+        binary triad pair (102 and 34 with neither the reuse nor the
+        packing).  Indicators are staged into the real buffer, so no
+        transform casts a bool array.  The counter keeps four length-M
+        buffers (two source spectra, the destination spectrum and the real
+        buffer); the product with the first source half is a temporary and
+        the one with the last is formed in place.  No table of all n lags is
+        built; unsplit, the transforms would be twice as long and raise the
+        peak RSS of a lattice pair job.
 
         Three checks make the counter raise rather than return wrong counts.
-        Each gathered correlation must be within 0.25 of an integer, so that
-        rounding recovers it.  For each correlated code and every lag, the
-        counts over all (g, j) must sum to the number of window samples that
-        meet the code, counted from ``code`` alone (its total, less its
-        count in the n - n_samples positions the window leaves out): a
-        uniform shift of the transforms, or one count off in one cell,
-        fails it.  The derived counts must not be negative.
+        Each gathered (packed) correlation must be within 0.25 of an
+        integer, so that rounding recovers it.  For each correlated code and
+        every lag, the counts over all (g, j) must sum to the number of
+        window samples that meet the code, counted from ``code`` alone (its
+        total, less its count in the n - n_samples positions the window
+        leaves out): a uniform shift of the transforms, or one count off in
+        one cell, fails it.  The derived counts must not be negative.  One
+        error the checks cannot see: a packed value off by exactly W - 1
+        moves one count between the two cells packed in it, leaving the
+        code's total unchanged.  Rounding error cannot produce it, as it is
+        bounded far below 1/2.
         """
         n, size, ky = len(self.code), self.n_samples, self.ky
         half_a, half_b = -(-size // 2), -(-n // 2)
@@ -243,30 +277,50 @@ class _ScanEvaluator:
                 e = np.where(e < b_len, e, e - n)
                 rows = np.flatnonzero(e > -a_len)
                 reads_at[p, q] = rows, e[rows] % length
+        # Destination cells (g, j), packed by twos into one indicator of
+        # values 0, 1 and width.
+        pack = _cells_per_transform(half_a, half_b, length)
+        width = 1 << half_a.bit_length()
+        cells = list(np.ndindex(self.n_g, ky))
+        groups = [cells[d:d + pack] for d in range(0, len(cells), pack)]
         counts = np.zeros((len(lags), self.n_g, self.n_i, ky), dtype=np.int64)
         residual = 0.0
         with _FFT_LOCK:
-            b_spectrum = a_spectrum = lin = None
+            lin = np.empty(length)
+            b_spectra = [np.empty(length // 2 + 1, dtype=complex)
+                         for _ in b_halves]
+            a_spectrum = np.empty(length // 2 + 1, dtype=complex)
+            levels, product = np.zeros(self.n_cells), None
             for i in range(self.n_i - 1):
-                for q, (k, b_len) in enumerate(b_halves):
-                    b_spectrum = np.fft.rfft(self.code[k:k + b_len] == i * ky,
-                                             length, out=b_spectrum)
-                    for g, j in np.ndindex(self.n_g, ky):
-                        cell = g * self.n_i * ky + j
-                        for p, (s, a_len) in enumerate(a_halves):
-                            a_spectrum = np.fft.rfft(
-                                self.base[s:s + a_len] == cell, length,
-                                out=a_spectrum)
-                            np.conjugate(a_spectrum, out=a_spectrum)
-                            a_spectrum *= b_spectrum
-                            lin = np.fft.irfft(a_spectrum, length, out=lin)
+                for (k, b_len), b_spectrum in zip(b_halves, b_spectra):
+                    np.equal(self.code[k:k + b_len], i * ky, out=lin[:b_len])
+                    np.fft.rfft(lin[:b_len], length, out=b_spectrum)
+                for group in groups:
+                    levels[:] = 0.0
+                    for (g, j), level in zip(group, (1.0, width)):
+                        levels[g * self.n_i * ky + j] = level
+                    for p, (s, a_len) in enumerate(a_halves):
+                        np.take(levels, self.base[s:s + a_len],
+                                out=lin[:a_len])
+                        np.fft.rfft(lin[:a_len], length, out=a_spectrum)
+                        np.conjugate(a_spectrum, out=a_spectrum)
+                        for q, b_spectrum in enumerate(b_spectra):
+                            product = (a_spectrum * b_spectrum
+                                       if q < len(b_spectra) - 1 else
+                                       np.multiply(a_spectrum, b_spectrum,
+                                                   out=a_spectrum))
+                            lin = np.fft.irfft(product, length, out=lin)
                             rows, index = reads_at[p, q]
                             values = lin[index]
                             rounded = np.rint(values)
                             residual = max(residual, float(np.max(
                                 np.abs(values - rounded), initial=0.0)))
-                            counts[rows, g, i, j] += rounded.astype(np.int64)
-            del b_spectrum, a_spectrum, lin
+                            packed = rounded.astype(np.int64)
+                            parts = ((packed,) if len(group) == 1 else
+                                     np.divmod(packed, width)[::-1])
+                            for (g, j), part in zip(group, parts):
+                                counts[rows, g, i, j] += part
+            del b_spectra, a_spectrum, product, lin
             # Checked and derived under the lock too: run beside another
             # counter's transforms, this raised a lattice pair job's peak RSS.
             if not residual < 0.25:

@@ -76,17 +76,28 @@ def step_lattices(configs, maps: int | None = None) -> np.ndarray:
         state[state == fp] += 1e-9
     # x_i <- f(w_i x_{i-1} + (1 - w_i) x_i) with periodic left neighbours
     # within each lattice; under the free boundary map 0 gets weight 0 and
-    # so runs uncoupled.
-    left = np.roll(np.arange(state.size), n_lat)
+    # so runs uncoupled.  The state sits in ``buf`` after a copy of its last
+    # map, so the left neighbours of all maps are the slice buf[:size].
+    size = state.size
+    buf = np.concatenate([state[size - n_lat:], state])
+    state, left, wrap, last = buf[n_lat:], buf[:size], buf[:n_lat], buf[size:]
     weight = np.tile([cfg.epsilon for cfg in configs], n_maps)
     weight[:n_lat][[cfg.boundary == "free-first-map" for cfg in configs]] = 0.0
     keep = 1.0 - weight
-    head = maps * n_lat
-    out = np.empty((n_samples, head))
+    recorded = state[:maps * n_lat]
+    out = np.empty((n_samples, len(recorded)))
+    # _ulam(weight * left + keep * state), written in place; outputs are
+    # passed by position, which costs less per call than out=.
+    mixed, kept = np.empty(size), np.empty(size)
     for step in range(-transient, n_samples):
-        state = _ulam(weight * state[left] + keep * state)
+        np.multiply(weight, left, mixed)
+        np.multiply(keep, state, kept)
+        np.add(mixed, kept, mixed)
+        np.multiply(mixed, mixed, mixed)
+        np.subtract(2.0, mixed, state)
+        wrap[...] = last
         if step >= 0:
-            out[step] = state[:head]
+            out[step] = recorded
     return out.reshape(n_samples, maps, n_lat).transpose(2, 0, 1)
 
 

@@ -19,7 +19,6 @@ from .estimation import (
     SubchannelEstimate,
     _check_cells,
     _encode,
-    _lag_code,
     _rows,
     infer_alphabet,
 )
@@ -314,6 +313,25 @@ class TriadTensors:
     row_counts: np.ndarray            # samples behind each (h, i) row
 
 
+def _triad_index(ac, bc, cc, cards, tau1: int, tau2: int, ell: int,
+                 start: int) -> np.ndarray:
+    """Flat cell (((h * ka + i) * n_g + g) * kb + j) * kc + k of each sample
+    t >= ``start``, where h is c's past before t, i = a[t - tau1 - tau2],
+    g is b's past before t - tau2, j = b[t - tau2] and k = c[t] (each past
+    most recent first, in ``ell`` symbols).  Built in one int64 buffer by
+    multiply-adding slices of the codes, in the order h, i, g, j, k."""
+    ka, kb, kc = cards
+    reads = ([(cc, kc, lag) for lag in range(1, ell + 1)]
+             + [(ac, ka, tau1 + tau2)]
+             + [(bc, kb, tau2 + lag) for lag in range(1, ell + 1)]
+             + [(bc, kb, tau2), (cc, kc, 0)])
+    flat = np.zeros(len(cc) - start, dtype=np.int64)
+    for codes, card, lag in reads:
+        flat *= card
+        flat += codes[start - lag:len(codes) - lag]
+    return flat
+
+
 def estimate_triad_tensors(a, b, c, tau1: int, tau2: int,
                            ell: int = 1) -> TriadTensors:
     """Estimate every tensor needed by the chain/fork residual tests.
@@ -337,17 +355,10 @@ def estimate_triad_tensors(a, b, c, tau1: int, tau2: int,
     start = max(tau1 + tau2, tau2 + ell, ell)
     if start >= len(a):
         raise DimensionMismatch("series too short for the requested delays")
-    t = np.arange(start, len(a))
-    i = ac[t - tau1 - tau2]
-    j = bc[t - tau2]
-    k = cc[t]
-    g = _lag_code(bc, t - tau2, range(1, ell + 1), kb)
-    h = _lag_code(cc, t, range(1, ell + 1), kc)
-
     n_g = kb ** ell
     n_h = kc ** ell
     _check_cells(n_h * ka * n_g * kb * kc)
-    flat = (((h * ka + i) * n_g + g) * kb + j) * kc + k
+    flat = _triad_index(ac, bc, cc, (ka, kb, kc), tau1, tau2, ell, start)
     counts = np.bincount(
         flat, minlength=n_h * ka * n_g * kb * kc
     ).reshape(n_h, ka, n_g, kb, kc).astype(float)

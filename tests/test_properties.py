@@ -30,6 +30,7 @@ from tetensor.estimation import (
     EmbeddingSpec,
     _counts_from_codes,
     _encode,
+    _lag_code,
     _PairCounts,
     embed,
     estimate_subchannels,
@@ -37,6 +38,7 @@ from tetensor.estimation import (
     transfer_entropy,
     transfer_entropy_direct,
 )
+from tetensor.structure import _triad_index
 
 
 class TestPairCounts:
@@ -329,3 +331,57 @@ class TestSolverRegressions:
             assert iters <= 40
             solved += ref_converged
         assert solved >= 100
+
+    @staticmethod
+    def _dirichlet_channels():
+        rng = np.random.default_rng(0)
+        return [rng.dirichlet(np.ones(4), size=4) for _ in range(60)]
+
+    def test_tol_below_rounding_stops_early(self):
+        # No gap need ever reach a tol below the rounding in I; each channel
+        # must still stop within a few dozen iterates (a solver without the
+        # stall rule ran 23 of these 60 to max_iter), at the capacity it
+        # reaches at tol 1e-9.
+        for rows in self._dirichlet_channels():
+            bits, _, iters, converged, gap = _blahut_arimoto_rows(
+                rows, 1e-16, 10_000)
+            ref_bits, _, _, ref_converged, _ = _blahut_arimoto_rows(
+                rows, 1e-9, 10_000)
+            assert ref_converged and iters <= 40
+            assert abs(bits - ref_bits) <= 1e-12
+            assert converged or gap <= 1e-13
+
+    def test_face_solved_to_rounding_readmits_a_row(self):
+        # At tol 1e-16 a step clips row 2 (optimum weight 0.096) to zero.
+        # The face is solved only to rounding, so a solver that waits for
+        # it to be solved to tol never readmits the row and stops at
+        # 0.25950 bits with gap 1.6e-2.
+        rows = self._dirichlet_channels()[31]
+        bits, weights, iters, _, _ = _blahut_arimoto_rows(rows, 1e-16, 10_000)
+        ref_bits, ref_weights, _, _, _ = _blahut_arimoto_rows(
+            rows, 1e-9, 10_000)
+        assert ref_weights[2] > 0.09 and weights[2] > 0.09
+        assert abs(bits - ref_bits) <= 1e-12 and iters <= 40
+
+
+class TestTriadIndex:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           cards=st.tuples(*[st.integers(1, 4)] * 3), ell=st.integers(1, 2),
+           tau1=st.integers(0, 5), tau2=st.integers(0, 5),
+           n=st.integers(15, 400))
+    def test_in_place_index_equals_gather(self, seed, cards, ell, tau1,
+                                          tau2, n):
+        """The index built in one buffer equals the gathered codes'."""
+        rng = np.random.default_rng(seed)
+        ka, kb, kc = cards
+        ac, bc, cc = (rng.integers(0, card, n) for card in cards)
+        start = max(tau1 + tau2, tau2 + ell, ell)
+        t = np.arange(start, n)
+        h = _lag_code(cc, t, range(1, ell + 1), kc)
+        g = _lag_code(bc, t - tau2, range(1, ell + 1), kb)
+        gathered = (((h * ka + ac[t - tau1 - tau2]) * kb ** ell + g) * kb
+                    + bc[t - tau2]) * kc + cc[t]
+        assert np.array_equal(
+            _triad_index(ac, bc, cc, cards, tau1, tau2, ell, start),
+            gathered)

@@ -1,15 +1,19 @@
 """Unit tests for surrogate nulls, the causal margin, and rank p-values."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tetensor import significance
 from tetensor.core import DimensionMismatch, InsufficientData
 from tetensor.estimation import EmbeddingSpec
 from tetensor.significance import (
     _CHUNK_CELLS,
     _TABLE_CELLS,
     SurrogateConfig,
+    _cells_per_transform,
     _fft_is_cheaper,
     _fft_length,
     _ScanEvaluator,
@@ -350,6 +354,156 @@ class TestFftLagCounts:
         monkeypatch.setattr(np.fft, "irfft", off_once)
         with pytest.raises(FloatingPointError, match="window samples"):
             ev._fft_counts(lags)
+
+
+def _count_transforms(monkeypatch, ev, lags):
+    """Counts of ``ev._fft_counts(lags)``, and its rfft and irfft calls."""
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fft=getattr(np.fft, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _fft(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    counts = ev._fft_counts(lags)
+    monkeypatch.undo()
+    return counts, calls
+
+
+def _packing(ev):
+    """Cells per transform and packing width of an evaluator's counter."""
+    half_a, half_b = -(-ev.n_samples // 2), -(-len(ev.code) // 2)
+    pack = _cells_per_transform(half_a, half_b,
+                                _fft_length(half_a + half_b - 1))
+    return pack, 1 << half_a.bit_length()
+
+
+class TestPackedFftLagCounts:
+    """Two destination cells share each destination transform below the
+    error bound, and each destination half is transformed once per source
+    code."""
+
+    @pytest.mark.parametrize("m_len, rfft, irfft", [
+        (2, 18, 24),      # lattice pair: 4 source codes, 4 (g, j) cells
+        (1, 6, 8),        # triad pair: 2 source codes, 4 (g, j) cells
+    ])
+    def test_transforms_per_call(self, monkeypatch, m_len, rfft, irfft):
+        x, y = _coupled_pair(n=3000, seed=13)
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(m_len=m_len), "te",
+                            list(range(1, 6)))
+        assert (ev.n_i, ev.n_g * ev.ky) == (2 ** m_len, 4)
+        assert _packing(ev)[0] == 2
+        lags = ev._lags([0, 100, 1700])
+        counts, calls = _count_transforms(monkeypatch, ev, lags)
+        assert calls == {"rfft": rfft, "irfft": irfft}
+        assert np.array_equal(counts, ev._bincounts(ev.code, lags))
+
+    def test_one_cell_per_transform_past_the_bound(self, monkeypatch):
+        x, y = _coupled_pair(n=400_000, seed=14)
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(m_len=2), "te", [1, 2])
+        assert _packing(ev)[0] == 1
+        lags = ev._lags([0, 200_001])
+        counts, calls = _count_transforms(monkeypatch, ev, lags)
+        assert calls == {"rfft": 30, "irfft": 48}
+        assert np.array_equal(counts, ev._bincounts(ev.code, lags))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
+           ell=st.integers(1, 2), m_len=st.integers(1, 3),
+           n=st.integers(50, 3000), acausal=st.booleans(), data=st.data())
+    def test_one_cell_per_transform_equals_bincounts(self, seed, k, ell,
+                                                     m_len, n, acausal,
+                                                     data):
+        # TestFftLagCounts's property with packing off, as past about 300k
+        # samples; k = 3 draws odd numbers of destination cells.
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, k, n)
+        y = np.roll(x, 1)
+        y[rng.random(n) < 0.4] = rng.integers(0, k)
+        taus = sorted(data.draw(st.sets(st.integers(1, 6), min_size=1,
+                                        max_size=4)))
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(ell=ell, m_len=m_len), "te",
+                            taus, (acausal_mirror(taus) or None)
+                            if acausal else None)
+        lo = ev.min_shift
+        offsets = [0, lo, n - lo - 1] + data.draw(
+            st.lists(st.integers(lo, n - lo - 1), max_size=5))
+        lags = ev._lags(offsets)
+        with mock.patch.object(significance, "_cells_per_transform",
+                               lambda *args: 1):
+            assert np.array_equal(ev._fft_counts(lags),
+                                  ev._bincounts(ev.code, lags))
+
+    def test_counts_up_to_a_full_half(self):
+        # Nearly constant series put almost every sample of a half in one
+        # cell and one code, the largest counts the packing must hold.
+        x, y = np.zeros(600, dtype=int), np.zeros(600, dtype=int)
+        x[[5, 300]], y[[7, 450]] = 1, 1
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(m_len=2), "te", [1, 2])
+        pack, width = _packing(ev)
+        assert pack == 2 and width == 512
+        lags = ev._lags([0, 3, 299, 595])
+        counts = ev._fft_counts(lags)
+        assert counts.max() > 256
+        assert np.array_equal(counts, ev._bincounts(ev.code, lags))
+
+    def test_cost_rule_counts_packed_transforms(self):
+        # Lattice pair shape: 42 transforms of length 100 000 packed, 78 with
+        # one cell per transform; bincount here costs as much as 60.
+        point = 100_000 * np.log2(100_000) * significance._NS_PER_FFT_POINT
+        reads = int(60 * point
+                    / (99_957 * significance._NS_PER_SAMPLE_READ)) + 1
+        assert _fft_is_cheaper(4, 4, reads, 99_998, 99_957)
+        with mock.patch.object(significance, "_cells_per_transform",
+                               lambda *args: 1):
+            assert not _fft_is_cheaper(4, 4, reads, 99_998, 99_957)
+
+    def test_error_bound(self):
+        # 100k samples pack; 400k, where the bound passes 1/16, do not.
+        for n, pack in [(100_000, 2), (300_000, 2), (400_000, 1)]:
+            half = n // 2
+            assert _cells_per_transform(
+                half, half, _fft_length(2 * half - 1)) == pack
+
+    @pytest.mark.parametrize("slot", ["low", "high"])
+    @pytest.mark.parametrize("every", [True, False])
+    def test_off_packed_value_raises(self, monkeypatch, slot, every):
+        # One count off in either cell of a packed value, or every value
+        # shifted by one count of either cell, fails the window totals.
+        x, y = _coupled_pair(n=500, seed=12)
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(), "te", [1, 2, 3])
+        pack, width = _packing(ev)
+        assert pack == 2
+        lags = ev._lags([0, 10, 20])
+        # The first transform correlates the first halves of the first two
+        # destination cells and the source code; a lag below half the
+        # series reads it at offset equal to the lag.
+        assert lags[0] < len(ev.code) // 2
+        step = 1.0 if slot == "low" else float(width)
+        irfft, calls = np.fft.irfft, []
+
+        def off(*args, **kwargs):
+            lin = irfft(*args, **kwargs)
+            if every:
+                lin += step
+            elif not calls:
+                lin[lags[0]] += step
+            calls.append(1)
+            return lin
+
+        monkeypatch.setattr(np.fft, "irfft", off)
+        with pytest.raises(FloatingPointError, match="window samples"):
+            ev._fft_counts(lags)
+
+    def test_residual_of_packed_value_raises(self, monkeypatch):
+        x, y = _coupled_pair(n=500, seed=12)
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(), "te", [1, 2, 3])
+        assert _packing(ev)[0] == 2
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft",
+                            lambda *a, **k: irfft(*a, **k) + 0.4)
+        with pytest.raises(FloatingPointError, match="residual 0.4"):
+            ev._fft_counts(ev._lags([0, 10, 20]))
 
 
 class TestObservedInNullStack:
