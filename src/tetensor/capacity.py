@@ -216,8 +216,8 @@ def _blahut_arimoto_batch(w: np.ndarray, on: np.ndarray, tol: float,
     exceeds the face's value by more than ``tol``.  A ``tol`` below rounding
     may never be met: a channel whose gap is at most ``slack`` and has set
     no new low for ``_STALL_ITERATES`` iterates stops there, unconverged.
-    Channels still open after ``max_iter`` iterates keep the last one.  Stopped
-    channels leave the working arrays, and every sum is in index order
+    Channels still open after ``max_iter`` iterates keep the last one.
+    Stopped channels leave the working arrays, and every sum is in index order
     (:func:`_last`), so a channel's result does not depend on K or on its
     place in the batch.  Returns arrays ``(bits, weights, iterations,
     converged, gap)``, weights of shape (K, n) and zero on inactive rows.
@@ -248,8 +248,9 @@ def _blahut_arimoto_batch(w: np.ndarray, on: np.ndarray, tol: float,
         upper = (d + off).max(axis=1)
         cap = _last(r * d)
         gap = upper - cap
-        stale = np.where(gap < low, 0, stale + 1)
-        low = np.where(gap < low, gap, low)
+        improved = gap < low
+        stale = np.where(improved, 0, stale + 1)
+        low = np.where(improved, gap, low)
         done = gap <= tol
         ends = done | ((gap <= slack) & (stale >= _STALL_ITERATES))
         if ends.any():
