@@ -90,9 +90,24 @@ class SubchannelEstimate:
     n_effective: int
 
 
+def _symbols(series) -> list:
+    """Distinct symbols of one sequence.
+
+    A non-empty integer array whose labels lie in [0, len) is marked in a
+    bool array; any other input is collected in a Python set.
+    """
+    arr = np.asarray(series)
+    if (arr.ndim == 1 and arr.dtype.kind in "iu" and arr.size
+            and arr.min() >= 0 and arr.max() < arr.size):
+        seen = np.zeros(int(arr.max()) + 1, dtype=bool)
+        seen[arr] = True
+        return np.flatnonzero(seen).tolist()
+    return list(set(arr.tolist()))
+
+
 def infer_alphabet(*series) -> Alphabet:
     """Alphabet of all symbols occurring in the given sequences, sorted."""
-    symbols = sorted(set().union(*(set(np.asarray(s).tolist()) for s in series)))
+    symbols = sorted(set().union(*(_symbols(s) for s in series)))
     return Alphabet(tuple(symbols))
 
 

@@ -5,7 +5,10 @@ the Ulam map f(x) = 2 - x^2, whose invariant interval is [-2, 2].  With the
 default free-first-map boundary, map 0 evolves uncoupled and information can
 only flow toward higher map indices.  ``step_lattices`` iterates several
 lattices as one state; a coupling sweep steps its lattices together that way
-and keeps only maps 0 and 1, the pair it analyses.
+and keeps only maps 0 and 1, the pair it analyses.  The state steps through a
+small ring of rows (``_RING_ROWS``): each step is only the map's five in-place
+ufunc calls and a copy of the last map in front of the row it writes, and the
+recorded maps of a whole block of rows go to the output in one slice.
 """
 from __future__ import annotations
 
@@ -37,6 +40,11 @@ class LatticeConfig:
             raise ValueError(f"unknown map kind {self.map_kind!r}")
         if self.boundary not in ("free-first-map", "periodic"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
+
+
+# Steps per ring block, and a cap on the ring's cells for very wide states.
+_RING_ROWS = 128
+_RING_CELLS = 1 << 16
 
 
 def _ulam(x: np.ndarray) -> np.ndarray:
@@ -76,28 +84,47 @@ def step_lattices(configs, maps: int | None = None) -> np.ndarray:
         state[state == fp] += 1e-9
     # x_i <- f(w_i x_{i-1} + (1 - w_i) x_i) with periodic left neighbours
     # within each lattice; under the free boundary map 0 gets weight 0 and
-    # so runs uncoupled.  The state sits in ``buf`` after a copy of its last
-    # map, so the left neighbours of all maps are the slice buf[:size].
+    # so runs uncoupled.
     size = state.size
-    buf = np.concatenate([state[size - n_lat:], state])
-    state, left, wrap, last = buf[n_lat:], buf[:size], buf[:n_lat], buf[size:]
     weight = np.tile([cfg.epsilon for cfg in configs], n_maps)
     weight[:n_lat][[cfg.boundary == "free-first-map" for cfg in configs]] = 0.0
     keep = 1.0 - weight
-    recorded = state[:maps * n_lat]
-    out = np.empty((n_samples, len(recorded)))
-    # _ulam(weight * left + keep * state), written in place; outputs are
-    # passed by position, which costs less per call than out=.
+    two = np.full(size, 2.0)
+    # Each ring row is [wrap | state], wrap being a copy of the last map, so
+    # the left neighbours of all maps are the row's first ``size`` values.
+    # Step r reads row r and writes row r + 1; after a block of steps the
+    # recorded maps of its rows go to ``out`` in one slice and the last row
+    # becomes row 0.
+    n_steps = transient + n_samples
+    block = max(1, min(_RING_ROWS, _RING_CELLS // (n_lat + size)))
+    ring = np.empty((block + 1, n_lat + size))
+    ring[0, n_lat:] = state
+    ring[0, :n_lat] = state[size - n_lat:]
+    rows = [(ring[r, :size], ring[r, n_lat:], ring[r + 1, n_lat:],
+             ring[r + 1, :n_lat], ring[r + 1, size:]) for r in range(block)]
+    recorded = slice(n_lat, n_lat + maps * n_lat)
+    out = np.empty((n_samples, maps * n_lat))
+    # _ulam(weight * left + keep * now), written in place; the ufuncs are
+    # bound to locals and outputs passed by position, which cost less per
+    # call than attribute lookups and out=.
+    mul, add, sub = np.multiply, np.add, np.subtract
     mixed, kept = np.empty(size), np.empty(size)
-    for step in range(-transient, n_samples):
-        np.multiply(weight, left, mixed)
-        np.multiply(keep, state, kept)
-        np.add(mixed, kept, mixed)
-        np.multiply(mixed, mixed, mixed)
-        np.subtract(2.0, mixed, state)
-        wrap[...] = last
-        if step >= 0:
-            out[step] = recorded
+    for start in range(0, n_steps, block):
+        count = min(block, n_steps - start)
+        for left, now, new, wrap, last in rows[:count]:
+            mul(weight, left, mixed)
+            mul(keep, now, kept)
+            add(mixed, kept, mixed)
+            mul(mixed, mixed, mixed)
+            sub(two, mixed, new)
+            wrap[...] = last
+        # Rows 1..count hold steps start..start + count - 1; the first
+        # ``transient`` steps are not recorded.
+        skip = max(0, transient - start)
+        if skip < count:
+            out[start + skip - transient:start + count - transient] = \
+                ring[1 + skip:1 + count, recorded]
+        ring[0] = ring[count]
     return out.reshape(n_samples, maps, n_lat).transpose(2, 0, 1)
 
 

@@ -45,6 +45,42 @@ class TestInferAlphabet:
         a = infer_alphabet([2, 0, 2], [1, 1])
         assert a.symbols == (0, 1, 2)
 
+    @staticmethod
+    def _by_set(*series):
+        return tuple(sorted(set().union(
+            *(set(np.asarray(s).tolist()) for s in series))))
+
+    @pytest.mark.parametrize("series", [
+        (np.array([0, 5, 5, 0, 0, 0, 5]),),                 # a gap
+        (np.array([3, 1, 3, 1]), np.array([0, 2, 0])),     # several series
+        (np.array([1, 0, 1], dtype=np.uint8), np.array([7] * 9)),
+        (np.array([-1, 2, -1, 0]),),                       # negative labels
+        (np.array([True, False, True]),),
+        (np.array([0.0, 2.0, 1.0]),),
+        ([2, 0, 2], [1, 1]),                               # plain lists
+        (np.array([0, 1, 2**62]),),                        # far past len
+    ])
+    def test_bitmap_and_set_paths_agree(self, series):
+        got = infer_alphabet(*series).symbols
+        want = self._by_set(*series)
+        assert got == want
+        assert [type(s) for s in got] == [type(s) for s in want]
+
+    def test_large_label_does_not_allocate_by_label(self, monkeypatch):
+        # A label far beyond the length takes the set path: no bool array
+        # sized by the label is ever requested.
+        sizes = []
+        zeros = np.zeros
+
+        def spy(shape, *args, **kwargs):
+            sizes.append(shape)
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", spy)
+        assert infer_alphabet(np.array([0, 10**12, 1])).symbols == \
+            (0, 1, 10**12)
+        assert sizes == []
+
 
 class TestEmbed:
     def test_sample_count(self):

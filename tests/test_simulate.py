@@ -1,7 +1,10 @@
 """Unit tests for lattice generation, quantization, and triad grounds."""
+import hashlib
+
 import numpy as np
 import pytest
 
+from tetensor import simulate
 from tetensor.core import InsufficientData
 from tetensor.estimation import EmbeddingSpec, embed, estimate_subchannels, \
     transfer_entropy
@@ -123,6 +126,40 @@ class TestLatticeStep:
             for cfg, data in zip(cfgs, batch):
                 assert np.array_equal(data, _rolled_lattice(cfg)[:, :kept])
 
+    @pytest.mark.parametrize("transient,n_samples", [
+        (5, 2 * simulate._RING_ROWS + 37),   # several blocks, a short last one
+        (simulate._RING_ROWS + 50, 60),      # the transient spans a block
+        (0, 3 * simulate._RING_ROWS),        # every step recorded
+        (40, 1),
+        (0, 1),
+    ])
+    def test_ring_blocks_match_rolled_stepping(self, transient, n_samples):
+        cfgs = [LatticeConfig(n_maps=5, epsilon=eps, n_samples=n_samples,
+                              transient=transient, seed=seed, boundary=bnd)
+                for eps, seed, bnd in ((0.3, 31, "periodic"),
+                                       (0.75, 32, "free-first-map"),
+                                       (1.0, 33, "periodic"))]
+        rolled = [_rolled_lattice(cfg) for cfg in cfgs]
+        for kept in (1, 3, 5):
+            batch = step_lattices(cfgs, maps=kept)
+            assert batch.shape == (len(cfgs), n_samples, kept)
+            for want, got in zip(rolled, batch):
+                assert np.array_equal(got, want[:, :kept])
+        for cfg, want in zip(cfgs, rolled):
+            assert np.array_equal(generate_lattice(cfg), want)
+
+    @pytest.mark.parametrize("cells", [1, 64, 200])
+    def test_capped_ring_matches_rolled_stepping(self, monkeypatch, cells):
+        # A state too wide for the cell cap steps in shorter blocks (one row
+        # at the smallest cap) with the same values.
+        monkeypatch.setattr(simulate, "_RING_CELLS", cells)
+        cfgs = [LatticeConfig(n_maps=8, epsilon=eps, n_samples=150,
+                              transient=30, seed=seed, boundary=bnd)
+                for eps, seed, bnd in ((0.4, 41, "free-first-map"),
+                                       (0.6, 42, "periodic"))]
+        for cfg, got in zip(cfgs, step_lattices(cfgs, maps=4)):
+            assert np.array_equal(got, _rolled_lattice(cfg)[:, :4])
+
     def test_batch_validation(self):
         cfg = LatticeConfig(n_maps=3, n_samples=50, transient=10)
         with pytest.raises(ValueError):
@@ -133,6 +170,36 @@ class TestLatticeStep:
         for kept in (0, 4):
             with pytest.raises(ValueError):
                 step_lattices([cfg], maps=kept)
+
+
+def _sha256(values):
+    return hashlib.sha256(
+        np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestStepperGolden:
+    """SHA-256 of the stepper's output bytes, pinned so that any change to
+    its arithmetic or operation order fails here instead of drifting."""
+
+    def test_periodic_lattice(self):
+        cfg = LatticeConfig(n_maps=5, epsilon=0.3, n_samples=300,
+                            transient=200, seed=21, boundary="periodic")
+        assert _sha256(generate_lattice(cfg)) == (
+            "76aa9113a0253e03f883219a2fabc3b3d6e7c91d077b2a1eedd463d1458ad917")
+
+    def test_free_first_map_lattice(self):
+        cfg = LatticeConfig(n_maps=4, epsilon=0.7, n_samples=300,
+                            transient=200, seed=22)
+        assert _sha256(generate_lattice(cfg)) == (
+            "ced239212e19ea1e6f38cc6ab7a3d6bd78f494725c1a5e8adf118c635dcff26e")
+
+    def test_two_couplings_stepped_together(self):
+        cfgs = [LatticeConfig(n_maps=30, epsilon=eps, n_samples=300,
+                              transient=200, seed=23) for eps in (0.18, 0.82)]
+        batch = step_lattices(cfgs, maps=2)
+        assert batch.shape == (2, 300, 2)
+        assert _sha256(batch) == (
+            "58b8d277c4af9565bc9d50a16f09c11e70e1f77106edafd1fe049bab8a647b94")
 
 
 class TestQuantizeExtrema:
