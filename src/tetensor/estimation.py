@@ -91,10 +91,10 @@ class SubchannelEstimate:
 
 
 def _symbols(series) -> list:
-    """Distinct symbols of one sequence.
+    """Symbols occurring in one sequence, for ``infer_alphabet``'s union.
 
     A non-empty integer array whose labels lie in [0, len) is marked in a
-    bool array; any other input is collected in a Python set.
+    bool array and each label listed once; any other input is listed whole.
     """
     arr = np.asarray(series)
     if (arr.ndim == 1 and arr.dtype.kind in "iu" and arr.size
@@ -102,7 +102,7 @@ def _symbols(series) -> list:
         seen = np.zeros(int(arr.max()) + 1, dtype=bool)
         seen[arr] = True
         return np.flatnonzero(seen).tolist()
-    return list(set(arr.tolist()))
+    return arr.tolist()
 
 
 def infer_alphabet(*series) -> Alphabet:

@@ -42,7 +42,9 @@ class LatticeConfig:
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
 
-# Steps per ring block, and a cap on the ring's cells for very wide states.
+# Steps per ring block.  The ring's cells are capped (512 KB of float64) so
+# that a very wide state steps in shorter blocks instead of holding 128
+# copies of itself.
 _RING_ROWS = 128
 _RING_CELLS = 1 << 16
 
