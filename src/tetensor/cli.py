@@ -14,6 +14,14 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
+# tetensor makes no BLAS call large enough to thread, but OpenBLAS starts
+# its worker pool when numpy loads, and the pool's spinning costs start-up
+# time and CPU.  So the CLI runs BLAS on one thread unless the user has
+# chosen a thread count.  This must precede the first numpy import.
+if "OPENBLAS_NUM_THREADS" not in os.environ \
+        and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import numpy as np
 
 from .capacity import blahut_arimoto

@@ -36,7 +36,8 @@ log = logging.getLogger("tetensor")
 
 
 def max_workers() -> int:
-    """Worker cap for parallel sweeps, from TENSOR_TE_THREADS if set."""
+    """Worker threads for the directed pairs of ``analyze`` and the couplings
+    of ``sweep-epsilon``: TENSOR_TE_THREADS if set, else min(4, cpu_count)."""
     env = os.environ.get("TENSOR_TE_THREADS")
     if env:
         try:

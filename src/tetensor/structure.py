@@ -202,7 +202,6 @@ def noiseless_check(a_bar: TransitionTensor, a_bar_dagger: TransitionTensor,
 @dataclass(frozen=True)
 class DpiResult:
     consistent: bool
-    margin: float = 0.0
 
 
 def dpi_check(te_xy: float, te_yz: float, te_xz: float,
@@ -210,10 +209,7 @@ def dpi_check(te_xy: float, te_yz: float, te_xz: float,
     """Data processing inequality for a chain: TE_xz <= min(TE_xy, TE_yz)."""
     if min(te_xy, te_yz, te_xz) < 0:
         raise ValueError("transfer entropies must be nonnegative")
-    margin = te_xz - min(te_xy, te_yz)
-    if margin <= tol:
-        return DpiResult(True, 0.0)
-    return DpiResult(False, margin)
+    return DpiResult(bool(te_xz - min(te_xy, te_yz) <= tol))
 
 
 def delay_additivity_check(tau_xy: int, tau_yz: int, tau_xz: int,
