@@ -13,11 +13,14 @@ tensors of those reads come from one of two counters, both exact: the pair
 builder's add-and-bincount per read, or FFT cross-correlations that count
 every lag of one (destination cell, source code) pair at once.  The FFT
 counter correlates every source code but the last, whose counts follow from
-the destination cells' totals, transforms each destination half once per
-correlated code, packs two destination cells into each destination transform
-where float64 keeps the packed counts exact, and checks each correlated
-code's total at every lag.  A cost rule (:func:`_fft_is_cheaper`) picks the
-cheaper counter per call.
+the destination cells' totals.  Where numpy transforms length n fast (n is
+5-smooth) each pair is one circular correlation of length n; otherwise the
+series are cut into halves, correlated linearly so that no transform is
+much longer than n.  Each destination piece is transformed once per
+correlated code, two destination cells share each destination transform
+where float64 keeps the packed counts exact, and each correlated code's
+total is checked at every lag.  A cost rule (:func:`_fft_is_cheaper`) picks
+the cheaper counter per call.
 """
 from __future__ import annotations
 
@@ -64,14 +67,14 @@ def acausal_mirror(tau_range) -> tuple:
 _CHUNK_CELLS = 2048
 
 # The counting cost rule.  Add-and-bincount reads every sample once per lag;
-# the FFT counter makes (n_i - 1)(2 + 6 ceil(n_dest / pack)) transforms of
-# length M ~ n, with pack = 2 destination cells per transform up to about
-# 300k samples and 1 beyond (see _ScanEvaluator._fft_counts), whatever the
-# number of lags.  Measured on a 2-core x86-64 host (Python 3.11, numpy
-# 2.4.6) with both counters on the 7 800 lags of a 100k-sample binary
-# lattice pair (16 cells, 42 transforms), medians of eight runs: 2.3 ns per
-# sample per lag for bincount, and 1.04 ns per M log2 M point of each
-# transform for the FFT counter, its gathers and checks included.
+# the FFT counter makes (n_i - 1)(P + (P + P^2) ceil(n_dest / pack))
+# transforms of length M ~ n in P pieces (see _fft_layout and
+# _ScanEvaluator._fft_counts), whatever the number of lags.  Measured on a
+# 2-core x86-64 host (Python 3.11, numpy 2.4.6) with both counters on the
+# 7 800 lags of a 100k-sample binary lattice pair (16 cells, 42 transforms
+# in halves), medians of eight runs: 2.3 ns per sample per lag for
+# bincount, and 1.04 ns per M log2 M point of each transform for the FFT
+# counter, its gathers and checks included.
 _NS_PER_SAMPLE_READ = 2.3
 _NS_PER_FFT_POINT = 1.04
 # The FFT counter holds the int64 counts of every lag it reads at once (the
@@ -105,16 +108,33 @@ def _fft_length(m: int) -> int:
     return best
 
 
-def _cells_per_transform(half_a: int, half_b: int, length: int) -> int:
+def _cells_per_transform(piece_a: int, piece_b: int, length: int) -> int:
     """Destination cells the FFT counter packs into one transform: 2 where
     the float64 error bound of a packed correlation, ``2**-52 log2(M) W
-    sqrt(half_a) half_b`` for halves of ``half_a`` and ``half_b`` samples,
-    transform length ``M`` and packing width ``W``, is below 1/16, else 1.
-    It is 2.7e-3 at 100k samples and passes 1/16 at about 300k."""
-    width = 1 << half_a.bit_length()
-    bound = (2.0 ** -52 * np.log2(length) * width * np.sqrt(half_a)
-             * half_b)
+    sqrt(piece_a) piece_b`` for pieces of ``piece_a`` destination and
+    ``piece_b`` source samples, transform length ``M`` and packing width
+    ``W``, is below 1/16, else 1.  At 100k samples it is 0.015 for one
+    piece and 2.7e-3 for halves; it passes 1/16 at about 155k samples for
+    one piece and 300k for halves."""
+    width = 1 << piece_a.bit_length()
+    bound = (2.0 ** -52 * np.log2(length) * width * np.sqrt(piece_a)
+             * piece_b)
     return 2 if bound < 1 / 16 else 1
+
+
+def _fft_layout(n_samples: int, n: int) -> tuple:
+    """How the FFT counter cuts ``n_samples`` destination samples and an
+    ``n``-sample circular source: ``(pieces, piece_a, piece_b, length,
+    pack)``.  Where ``n`` is 5-smooth, one piece of each, correlated
+    circularly at transform length ``n``; otherwise two halves of each,
+    correlated linearly at the smooth length ``M >= piece_a + piece_b - 1``,
+    about ``n``.  ``pack`` is :func:`_cells_per_transform` at those
+    lengths."""
+    pieces = 1 if _fft_length(n) == n else 2
+    piece_a, piece_b = -(-n_samples // pieces), -(-n // pieces)
+    length = n if pieces == 1 else _fft_length(piece_a + piece_b - 1)
+    return (pieces, piece_a, piece_b, length,
+            _cells_per_transform(piece_a, piece_b, length))
 
 
 def _fft_is_cheaper(n_dest: int, n_i: int, reads: int, n: int,
@@ -123,14 +143,17 @@ def _fft_is_cheaper(n_dest: int, n_i: int, reads: int, n: int,
     against ``n_samples`` destination samples with ``n_dest`` (g, j) cells
     and ``n_i`` source codes by FFT, rather than by bincount, when its
     transforms cost less than reading every sample once per lag and its
-    table of counts fits in ``_TABLE_CELLS``."""
+    table of counts fits in ``_TABLE_CELLS``.  In ``P`` pieces the counter
+    transforms, per correlated code, each source piece once and each
+    destination piece once per group of ``pack`` cells, and inverts one
+    product per pair of pieces: ``P + (P + P^2) ceil(n_dest / pack)``
+    transforms, 5 for a binary triad pair in one piece and 14 in halves."""
     if reads * n_dest * n_i > _TABLE_CELLS:
         return False
-    half_a, half_b = -(-n_samples // 2), -(-n // 2)
-    length = _fft_length(half_a + half_b - 1)
-    groups = -(-n_dest // _cells_per_transform(half_a, half_b, length))
-    fft_ns = ((n_i - 1) * (2 + 6 * groups) * length * np.log2(length)
-              * _NS_PER_FFT_POINT)
+    pieces, _, _, length, pack = _fft_layout(n_samples, n)
+    groups = -(-n_dest // pack)
+    transforms = (n_i - 1) * (pieces + (pieces + pieces ** 2) * groups)
+    fft_ns = transforms * length * np.log2(length) * _NS_PER_FFT_POINT
     return fft_ns < reads * n_samples * _NS_PER_SAMPLE_READ
 
 
@@ -215,38 +238,45 @@ class _ScanEvaluator:
         cross-correlations of destination cells with each source code.
 
         With ``a = [base == (g, j)]`` (n_samples long) and ``b = [code == i]``
-        (n long), the count at lag ``L`` is ``sum_s a[s] b[(s + L) mod n]``.
-        ``a`` and ``b`` are each cut in two halves, and each pair of halves
-        is linearly correlated by FFT, zero-padded to a smooth length
-        ``M >= |a half| + |b half| - 1`` (about n) so that it does not wrap.
-        Half ``p`` of ``a`` (from ``s_p``) meets half ``q`` of ``b`` (from
-        ``k_q``) at lag ``L`` at correlation offset ``e = (s_p + L - k_q) mod
-        n`` or ``e - n``, whichever lies in the pair's range.
+        (n long), the count at lag ``L`` is ``sum_s a[s] b[(s + L) mod n]``,
+        a circular correlation mod n.  :func:`_fft_layout` picks the pieces.
+        Where n is 5-smooth there is one piece of each: ``a`` zero-padded to
+        n is correlated with ``b`` at transform length n, and lag ``L`` reads
+        entry ``L``.  Otherwise a transform of length n would be slow (a
+        large prime factor), so ``a`` and ``b`` are each cut in two halves,
+        and each pair of halves is linearly correlated, zero-padded to a
+        smooth length ``M >= |a half| + |b half| - 1`` (about n) so that it
+        does not wrap.  Piece ``p`` of ``a`` (from ``s_p``) meets piece ``q``
+        of ``b`` (from ``k_q``) at lag ``L`` at correlation offset ``e = (s_p
+        + L - k_q) mod n`` or ``e - n``, whichever lies in the pair's range;
+        one piece is the case ``s_p = k_q = 0``, where ``e = L``.
 
         Two destination cells share each destination transform: the
         indicator ``[base == c1] + W [base == c2]``, with ``W`` the power of
-        two above the longest half of ``a``, correlates to ``count1 + W
+        two above the longest piece of ``a``, correlates to ``count1 + W
         count2``, and ``divmod`` by ``W`` splits the rounded value exactly,
-        since no count of one pair of halves reaches ``W``.  Packing is used
+        since no count of one pair of pieces reaches ``W``.  Packing is used
         only where the float64 error bound of the packed correlation stays
-        far below 1/2 (:func:`_cells_per_transform`, up to about 300k
-        samples); an odd last cell goes alone.
+        far below 1/2 (:func:`_cells_per_transform`, up to about 155k
+        samples in one piece and 300k in halves); an odd last cell goes
+        alone.
 
         Only codes 0 .. n_i - 2 are correlated.  Every sample meets exactly
         one code, so the last code's count of cell (g, j) is the number of
         window samples in (g, j), a bincount of ``base``, less the other
-        codes' counts.  For each correlated code both source halves are
-        transformed and kept, then each destination half is transformed once
-        and multiplied by both: (n_i - 1)(2 + 6 ceil(n_dest / pack))
-        transforms, 42 for a binary lattice pair with m_len 2 and 14 for a
-        binary triad pair (102 and 34 with neither the reuse nor the
-        packing).  Indicators are staged into the real buffer, so no
-        transform casts a bool array.  The counter keeps four length-M
-        buffers (two source spectra, the destination spectrum and the real
-        buffer); the product with the first source half is a temporary and
-        the one with the last is formed in place.  No table of all n lags is
-        built; unsplit, the transforms would be twice as long and raise the
-        peak RSS of a lattice pair job.
+        codes' counts.  For each correlated code the source pieces are
+        transformed and kept, then each destination piece is transformed
+        once and multiplied by each: ``(n_i - 1)(P + (P + P^2) ceil(n_dest /
+        pack))`` transforms in ``P`` pieces.  That is 5 for a binary triad
+        pair at a smooth n and 15 for a binary lattice pair with m_len 2;
+        in halves, as at the n = 99 998 of a quantized 100k lattice, 14 and
+        42.  Indicators are staged into the real buffer, so no transform
+        casts a bool array.  The counter keeps one real buffer, the
+        destination spectrum and one spectrum per source piece: three
+        length-n buffers in one piece, four of length M in halves, where
+        the product with the first source half is a temporary.  The product
+        with the last source piece is formed in place.  No table of all n
+        lags is built.
 
         Three checks make the counter raise rather than return wrong counts.
         Each gathered (packed) correlation must be within 0.25 of an
@@ -262,25 +292,23 @@ class _ScanEvaluator:
         bounded far below 1/2.
         """
         n, size, ky = len(self.code), self.n_samples, self.ky
-        half_a, half_b = -(-size // 2), -(-n // 2)
-        length = _fft_length(half_a + half_b - 1)
-        a_halves = [(s, min(size, s + half_a) - s)
-                    for s in range(0, size, half_a)]
-        b_halves = [(k, min(n, k + half_b) - k)
-                    for k in range(0, n, half_b)]
+        _, piece_a, piece_b, length, pack = _fft_layout(size, n)
+        a_pieces = [(s, min(size, s + piece_a) - s)
+                    for s in range(0, size, piece_a)]
+        b_pieces = [(k, min(n, k + piece_b) - k)
+                    for k in range(0, n, piece_b)]
         lags = np.asarray(lags, dtype=np.int64)
-        # The lags that read the correlation of halves p and q, and where.
+        # The lags that read the correlation of pieces p and q, and where.
         reads_at = {}
-        for p, (s, a_len) in enumerate(a_halves):
-            for q, (k, b_len) in enumerate(b_halves):
+        for p, (s, a_len) in enumerate(a_pieces):
+            for q, (k, b_len) in enumerate(b_pieces):
                 e = (s + lags - k) % n
                 e = np.where(e < b_len, e, e - n)
                 rows = np.flatnonzero(e > -a_len)
                 reads_at[p, q] = rows, e[rows] % length
         # Destination cells (g, j), packed by twos into one indicator of
         # values 0, 1 and width.
-        pack = _cells_per_transform(half_a, half_b, length)
-        width = 1 << half_a.bit_length()
+        width = 1 << piece_a.bit_length()
         cells = list(np.ndindex(self.n_g, ky))
         groups = [cells[d:d + pack] for d in range(0, len(cells), pack)]
         counts = np.zeros((len(lags), self.n_g, self.n_i, ky), dtype=np.int64)
@@ -288,18 +316,18 @@ class _ScanEvaluator:
         with _FFT_LOCK:
             lin = np.empty(length)
             b_spectra = [np.empty(length // 2 + 1, dtype=complex)
-                         for _ in b_halves]
+                         for _ in b_pieces]
             a_spectrum = np.empty(length // 2 + 1, dtype=complex)
             levels, product = np.zeros(self.n_cells), None
             for i in range(self.n_i - 1):
-                for (k, b_len), b_spectrum in zip(b_halves, b_spectra):
+                for (k, b_len), b_spectrum in zip(b_pieces, b_spectra):
                     np.equal(self.code[k:k + b_len], i * ky, out=lin[:b_len])
                     np.fft.rfft(lin[:b_len], length, out=b_spectrum)
                 for group in groups:
                     levels[:] = 0.0
                     for (g, j), level in zip(group, (1.0, width)):
                         levels[g * self.n_i * ky + j] = level
-                    for p, (s, a_len) in enumerate(a_halves):
+                    for p, (s, a_len) in enumerate(a_pieces):
                         np.take(levels, self.base[s:s + a_len],
                                 out=lin[:a_len])
                         np.fft.rfft(lin[:a_len], length, out=a_spectrum)

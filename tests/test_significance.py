@@ -15,6 +15,7 @@ from tetensor.significance import (
     SurrogateConfig,
     _cells_per_transform,
     _fft_is_cheaper,
+    _fft_layout,
     _fft_length,
     _ScanEvaluator,
     acausal_mirror,
@@ -255,6 +256,13 @@ class TestChunkedShifts:
                               [ev.shifted([o])[0] for o in offsets])
 
 
+# Series lengths for the counter properties.  About 3 % of 50..3000 is
+# 5-smooth, so half of the draws are taken from those lengths: the counter
+# runs in one circular piece there and in halves elsewhere.
+_SMOOTH_LENGTHS = [v for v in range(50, 3001) if _fft_length(v) == v]
+_LENGTHS = st.one_of(st.integers(50, 3000), st.sampled_from(_SMOOTH_LENGTHS))
+
+
 class TestFftLagCounts:
     """The FFT counter must count every lag exactly as the bincount
     reference does, and the cost rule must send each workload shape to the
@@ -263,7 +271,7 @@ class TestFftLagCounts:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
            ell=st.integers(1, 2), m_len=st.integers(1, 3),
-           n=st.integers(50, 3000), acausal=st.booleans(), data=st.data())
+           n=_LENGTHS, acausal=st.booleans(), data=st.data())
     def test_fft_counts_equal_bincounts(self, seed, k, ell, m_len, n,
                                         acausal, data):
         rng = np.random.default_rng(seed)
@@ -297,7 +305,10 @@ class TestFftLagCounts:
 
     def test_cost_rule_picks_counter_by_workload_shape(self):
         # multisymbol: 3 symbols, ell 1, m_len 1 (27 cells, 9 destination
-        # cells), 19 surrogates plus the observed shift at one delay.
+        # cells), 19 surrogates plus the observed shift at one delay.  Its
+        # 20 000 samples are 5-smooth, so the FFT counter would run in one
+        # piece: 22 transforms, still dearer than 20 reads.
+        assert _fft_layout(19_999, 20_000)[0] == 1
         assert not _fft_is_cheaper(9, 3, 20, 20_000, 19_999)
         # lattice_pair: binary, ell 1, m_len 2 (16 cells, 4 destination
         # cells), 200 shifts over 20 causal and 19 acausal delays.
@@ -332,16 +343,18 @@ class TestFftLagCounts:
         with pytest.raises(FloatingPointError, match=message):
             ev._fft_counts(ev._lags([0, 10, 20]))
 
-    def test_one_count_off_by_one_raises(self, monkeypatch):
+    @staticmethod
+    def _raises_on_one_count_off(monkeypatch, n, pieces):
         # A single integer error moves one cell of one code at one lag; the
         # per-code window totals must catch it.
-        x, y = _coupled_pair(n=500, seed=12)
+        x, y = _coupled_pair(n=n, seed=12)
         ev = _ScanEvaluator(x, y, EmbeddingSpec(), "te", [1, 2, 3])
+        assert _fft_layout(ev.n_samples, n)[0] == pieces
         lags = ev._lags([0, 10, 20])
-        # The first transform correlates the first halves of the destination
-        # cell and the source code; a lag below half the series reads it at
-        # offset equal to the lag.
-        assert lags[0] < len(ev.code) // 2
+        # The first transform correlates the first piece of the destination
+        # cell with the first piece of the source code; a lag below half
+        # the series reads it at offset equal to the lag.
+        assert lags[0] < n // 2
         irfft, calls = np.fft.irfft, []
 
         def off_once(*args, **kwargs):
@@ -354,6 +367,14 @@ class TestFftLagCounts:
         monkeypatch.setattr(np.fft, "irfft", off_once)
         with pytest.raises(FloatingPointError, match="window samples"):
             ev._fft_counts(lags)
+
+    def test_one_count_off_by_one_raises(self, monkeypatch):
+        # 500 is 5-smooth: one circular piece of length 500.
+        self._raises_on_one_count_off(monkeypatch, 500, pieces=1)
+
+    def test_one_count_off_by_one_in_halves_raises(self, monkeypatch):
+        # 502 = 2 * 251: halves, linearly correlated.
+        self._raises_on_one_count_off(monkeypatch, 502, pieces=2)
 
 
 def _count_transforms(monkeypatch, ev, lags):
@@ -372,45 +393,88 @@ def _count_transforms(monkeypatch, ev, lags):
 
 def _packing(ev):
     """Cells per transform and packing width of an evaluator's counter."""
-    half_a, half_b = -(-ev.n_samples // 2), -(-len(ev.code) // 2)
-    pack = _cells_per_transform(half_a, half_b,
-                                _fft_length(half_a + half_b - 1))
-    return pack, 1 << half_a.bit_length()
+    _, piece_a, _, _, pack = _fft_layout(ev.n_samples, len(ev.code))
+    return pack, 1 << piece_a.bit_length()
+
+
+def _pieces(ev):
+    """Pieces (1 or 2) the evaluator's counter cuts the series into."""
+    return _fft_layout(ev.n_samples, len(ev.code))[0]
 
 
 class TestPackedFftLagCounts:
     """Two destination cells share each destination transform below the
-    error bound, and each destination half is transformed once per source
+    error bound, and each destination piece is transformed once per source
     code."""
 
+    # n = 2 998 = 2 * 1 499 is not 5-smooth, so the counter runs in halves.
     @pytest.mark.parametrize("m_len, rfft, irfft", [
         (2, 18, 24),      # lattice pair: 4 source codes, 4 (g, j) cells
         (1, 6, 8),        # triad pair: 2 source codes, 4 (g, j) cells
     ])
     def test_transforms_per_call(self, monkeypatch, m_len, rfft, irfft):
+        x, y = _coupled_pair(n=2998, seed=13)
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(m_len=m_len), "te",
+                            list(range(1, 6)))
+        assert (ev.n_i, ev.n_g * ev.ky) == (2 ** m_len, 4)
+        assert _pieces(ev) == 2 and _packing(ev)[0] == 2
+        lags = ev._lags([0, 100, 1700])
+        counts, calls = _count_transforms(monkeypatch, ev, lags)
+        assert calls == {"rfft": rfft, "irfft": irfft}
+        assert np.array_equal(counts, ev._bincounts(ev.code, lags))
+
+    # n = 3 000 = 2^3 3 5^3 is 5-smooth: one circular piece per code.
+    @pytest.mark.parametrize("m_len, rfft, irfft", [
+        (2, 9, 6),        # lattice pair: 4 source codes, 4 (g, j) cells
+        (1, 3, 2),        # triad pair: 2 source codes, 4 (g, j) cells
+    ])
+    def test_one_piece_transforms_per_call(self, monkeypatch, m_len, rfft,
+                                           irfft):
         x, y = _coupled_pair(n=3000, seed=13)
         ev = _ScanEvaluator(x, y, EmbeddingSpec(m_len=m_len), "te",
                             list(range(1, 6)))
         assert (ev.n_i, ev.n_g * ev.ky) == (2 ** m_len, 4)
-        assert _packing(ev)[0] == 2
+        assert _pieces(ev) == 1 and _packing(ev)[0] == 2
         lags = ev._lags([0, 100, 1700])
         counts, calls = _count_transforms(monkeypatch, ev, lags)
         assert calls == {"rfft": rfft, "irfft": irfft}
         assert np.array_equal(counts, ev._bincounts(ev.code, lags))
 
     def test_one_cell_per_transform_past_the_bound(self, monkeypatch):
-        x, y = _coupled_pair(n=400_000, seed=14)
+        # 399 998 = 2 * 199 999: halves, past their bound of about 300k.
+        x, y = _coupled_pair(n=399_998, seed=14)
         ev = _ScanEvaluator(x, y, EmbeddingSpec(m_len=2), "te", [1, 2])
-        assert _packing(ev)[0] == 1
+        assert _pieces(ev) == 2 and _packing(ev)[0] == 1
         lags = ev._lags([0, 200_001])
         counts, calls = _count_transforms(monkeypatch, ev, lags)
         assert calls == {"rfft": 30, "irfft": 48}
         assert np.array_equal(counts, ev._bincounts(ev.code, lags))
 
+    def test_one_piece_one_cell_per_transform(self, monkeypatch):
+        # 400 000 is 5-smooth: one piece, past its bound of about 155k.
+        x, y = _coupled_pair(n=400_000, seed=14)
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(m_len=2), "te", [1, 2])
+        assert _pieces(ev) == 1 and _packing(ev)[0] == 1
+        lags = ev._lags([0, 200_001])
+        counts, calls = _count_transforms(monkeypatch, ev, lags)
+        assert calls == {"rfft": 15, "irfft": 12}
+        assert np.array_equal(counts, ev._bincounts(ev.code, lags))
+
+    @pytest.mark.parametrize("n, pack", [(150_000, 2), (153_600, 2),
+                                         (160_000, 1)])
+    def test_one_piece_counts_across_the_bound(self, n, pack):
+        # Smooth lengths on both sides of the one-piece packing bound.
+        x, y = _coupled_pair(n=n, seed=15)
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(m_len=2), "te", [1, 2, 3])
+        assert _pieces(ev) == 1 and _packing(ev)[0] == pack
+        lags = ev._lags([0, 7, n // 2, n - ev.min_shift - 1])
+        assert np.array_equal(ev._fft_counts(lags),
+                              ev._bincounts(ev.code, lags))
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3),
            ell=st.integers(1, 2), m_len=st.integers(1, 3),
-           n=st.integers(50, 3000), acausal=st.booleans(), data=st.data())
+           n=_LENGTHS, acausal=st.booleans(), data=st.data())
     def test_one_cell_per_transform_equals_bincounts(self, seed, k, ell,
                                                      m_len, n, acausal,
                                                      data):
@@ -434,18 +498,27 @@ class TestPackedFftLagCounts:
             assert np.array_equal(ev._fft_counts(lags),
                                   ev._bincounts(ev.code, lags))
 
-    def test_counts_up_to_a_full_half(self):
-        # Nearly constant series put almost every sample of a half in one
+    @staticmethod
+    def _counts_up_to_a_full_piece(n, pieces, width):
+        # Nearly constant series put almost every sample of a piece in one
         # cell and one code, the largest counts the packing must hold.
-        x, y = np.zeros(600, dtype=int), np.zeros(600, dtype=int)
+        x, y = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
         x[[5, 300]], y[[7, 450]] = 1, 1
         ev = _ScanEvaluator(x, y, EmbeddingSpec(m_len=2), "te", [1, 2])
-        pack, width = _packing(ev)
-        assert pack == 2 and width == 512
-        lags = ev._lags([0, 3, 299, 595])
+        assert _pieces(ev) == pieces
+        assert _packing(ev) == (2, width)
+        lags = ev._lags([0, 3, 299, n - 5])
         counts = ev._fft_counts(lags)
-        assert counts.max() > 256
+        assert counts.max() > width // 2
         assert np.array_equal(counts, ev._bincounts(ev.code, lags))
+
+    def test_counts_up_to_a_full_half(self):
+        # 602 = 2 * 7 * 43: halves of about 300 samples.
+        self._counts_up_to_a_full_piece(602, pieces=2, width=512)
+
+    def test_counts_up_to_a_full_piece(self):
+        # 600 is 5-smooth: one piece of about 600 samples.
+        self._counts_up_to_a_full_piece(600, pieces=1, width=1024)
 
     def test_cost_rule_counts_packed_transforms(self):
         # Lattice pair shape: 42 transforms of length 100 000 packed, 78 with
@@ -465,6 +538,43 @@ class TestPackedFftLagCounts:
             assert _cells_per_transform(
                 half, half, _fft_length(2 * half - 1)) == pack
 
+    def test_layout(self):
+        # One circular piece of length n where n is 5-smooth, packing up to
+        # about 155k samples; halves elsewhere, packing up to about 300k.
+        for n, pieces, pack in [
+                (3_000, 1, 2), (2_998, 2, 2), (100_000, 1, 2),
+                (99_998, 2, 2), (153_600, 1, 2), (160_000, 1, 1),
+                (299_998, 2, 2), (399_998, 2, 1), (400_000, 1, 1)]:
+            n_samples = n - 3
+            layout = _fft_layout(n_samples, n)
+            piece_a, piece_b = -(-n_samples // pieces), -(-n // pieces)
+            length = n if pieces == 1 else _fft_length(piece_a + piece_b - 1)
+            assert layout == (pieces, piece_a, piece_b, length, pack)
+            assert _cells_per_transform(piece_a, piece_b, length) == pack
+
+    @pytest.mark.parametrize("n", [3000, 2998])
+    @pytest.mark.parametrize("pack", [2, 1])
+    @pytest.mark.parametrize("m_len", [1, 2])
+    def test_cost_rule_counts_the_counters_transforms(self, monkeypatch, n,
+                                                      pack, m_len):
+        # The cost rule charges exactly the transforms the counter makes:
+        # it turns to the FFT counter one read past the bincount cost of
+        # that many transforms (one transform is worth about 5 reads here).
+        x, y = _coupled_pair(n=n, seed=16)
+        ev = _ScanEvaluator(x, y, EmbeddingSpec(m_len=m_len), "te",
+                            list(range(1, 6)))
+        length = _fft_layout(ev.n_samples, n)[3]
+        shape = (ev.n_g * ev.ky, ev.n_i)
+        with mock.patch.object(significance, "_cells_per_transform",
+                               lambda *args: pack):
+            _, calls = _count_transforms(monkeypatch, ev, ev._lags([0, 99]))
+            fft_ns = ((calls["rfft"] + calls["irfft"]) * length
+                      * np.log2(length) * significance._NS_PER_FFT_POINT)
+            even = int(fft_ns / (ev.n_samples
+                                 * significance._NS_PER_SAMPLE_READ))
+            assert not _fft_is_cheaper(*shape, even, n, ev.n_samples)
+            assert _fft_is_cheaper(*shape, even + 1, n, ev.n_samples)
+
     @pytest.mark.parametrize("slot", ["low", "high"])
     @pytest.mark.parametrize("every", [True, False])
     def test_off_packed_value_raises(self, monkeypatch, slot, every):
@@ -474,11 +584,11 @@ class TestPackedFftLagCounts:
         ev = _ScanEvaluator(x, y, EmbeddingSpec(), "te", [1, 2, 3])
         pack, width = _packing(ev)
         assert pack == 2
+        assert _pieces(ev) == 1
         lags = ev._lags([0, 10, 20])
-        # The first transform correlates the first halves of the first two
-        # destination cells and the source code; a lag below half the
-        # series reads it at offset equal to the lag.
-        assert lags[0] < len(ev.code) // 2
+        # The first transform correlates the first two destination cells,
+        # in one piece of length 500, with the first source code; lag L
+        # reads it at offset L.
         step = 1.0 if slot == "low" else float(width)
         irfft, calls = np.fft.irfft, []
 
